@@ -45,7 +45,6 @@ from .core import (
     GridSpec,
     UnsupportedOperation,
     WeightedDataset,
-    analytic_pdf,
     bounding_grid,
     double_weights,
     init_weights_empirical,

@@ -1,10 +1,12 @@
-"""The multiplicative-weights boosting loops.
+"""The multiplicative-weights boosting loop.
 
-Exact mode runs on a finite target distribution with generator-side point
-masses, so the doubling test compares like with like. Empirical mode runs on
-raw samples: each round resamples a training set by weight, fits the weak
-generator, trains a discriminator, and doubles the weight of every sample
-whose estimated coverage falls strictly below the threshold.
+One loop (`_run`) serves both modes; they differ only in how a round fits
+its generator and computes the cover test. Exact mode runs on a finite
+target distribution with generator-side point masses, so the doubling test
+compares like with like. Empirical mode runs on raw samples: each round
+resamples a training set by weight, fits the weak generator, trains a
+discriminator, and doubles the weight of every sample whose estimated
+coverage falls strictly below the threshold.
 
 Round RNG streams are derived from (master seed, round, purpose), so traces
 for rounds 1..t are unchanged by raising T.
@@ -185,6 +187,40 @@ def _minority_share(ws: WeightedDataset, indices) -> float | None:
     return float(rel[np.asarray(indices, dtype=int)].sum())
 
 
+def _run(ws: WeightedDataset, cfg: BoostConfig, step):
+    """The multiplicative-weights loop both modes share.
+
+    Each round normalizes the weights into the round distribution p_t, calls
+    ``step(t, ws, p_t)`` for the fitted generator, the per-sample doubling
+    flags and any extra RoundRecord fields, records the round, and doubles
+    the flagged weights.
+    """
+    init_log2_weights = ws.log2_weight
+    generators = []
+    records = []
+    for t in range(1, cfg.rounds + 1):
+        p_t = normalize(ws)
+        gen, flags, extra = step(t, ws, p_t)
+        records.append(
+            RoundRecord(
+                round=t,
+                log2_total=ws.log2_total,
+                doubled=flags,
+                n_doubled=int(flags.sum()),
+                minority_ratio=_minority_share(ws, cfg.minority_indices),
+                **extra,
+            )
+        )
+        generators.append(gen)
+        ws = double_weights(ws, flags)
+    trace = RoundTrace(
+        init_log2_weights=init_log2_weights,
+        rounds=tuple(records),
+        final_log2_total=ws.log2_total,
+    )
+    return GeneratorMixture(tuple(generators)), trace
+
+
 def run_exact(target: DiscreteDistribution, cfg: BoostConfig):
     """Boosting with exact densities: the weak generator's point masses are
     compared directly against the target's, and weights double on strict
@@ -195,37 +231,18 @@ def run_exact(target: DiscreteDistribution, cfg: BoostConfig):
     gen_spec = cfg.generator
     if isinstance(gen_spec, AdversarialCoverageGenerator) and gen_spec.target is None:
         gen_spec = replace(gen_spec, target=target, delta=cfg.delta)
-    ws = init_weights_exact(target)
-    generators = []
-    records = []
-    for t in range(1, cfg.rounds + 1):
-        p_t = normalize(ws)
+
+    def step(t, ws, p_t):
         try:
             gen = gen_spec.fit(p_t, round_rng_seed(cfg.seed, t, "fit"))
             g_mass = gen.support_masses(target.support)
         except Exception as exc:  # noqa: BLE001 - context added, then re-raised
             raise BoostRunError(t, f"generator fit failed: {exc}") from exc
         flags = g_mass < cfg.delta * target.mass
-        records.append(
-            RoundRecord(
-                round=t,
-                log2_total=ws.log2_total,
-                doubled=flags,
-                n_doubled=int(flags.sum()),
-                tv_gen_vs_pt=tv_discrete(
-                    DiscreteDistribution(target.support, g_mass), p_t
-                ),
-                minority_ratio=_minority_share(ws, cfg.minority_indices),
-            )
-        )
-        generators.append(gen)
-        ws = double_weights(ws, flags)
-    trace = RoundTrace(
-        init_log2_weights=np.log2(target.mass),
-        rounds=tuple(records),
-        final_log2_total=ws.log2_total,
-    )
-    return GeneratorMixture(tuple(generators)), trace
+        tv = tv_discrete(DiscreteDistribution(target.support, g_mass), p_t)
+        return gen, flags, {"tv_gen_vs_pt": tv}
+
+    return _run(init_weights_exact(target), cfg, step)
 
 
 def _measured_tv(gen: WeakGenerator, p_hat: DiscreteDistribution) -> float | None:
@@ -274,10 +291,8 @@ def run_empirical(points, cfg: BoostConfig, exact_target_pdf=None, discriminator
             else exact_target_pdf,
             dtype=float,
         )
-    generators = []
-    records = []
-    for t in range(1, cfg.rounds + 1):
-        p_hat = normalize(ws)
+
+    def step(t, ws, p_hat):
         try:
             train_pts = p_hat.sample(resample, round_rng_seed(cfg.seed, t, "resample"))
             gen = cfg.generator.fit(
@@ -294,28 +309,13 @@ def run_empirical(points, cfg: BoostConfig, exact_target_pdf=None, discriminator
         except Exception as exc:  # noqa: BLE001
             raise BoostRunError(t, f"discriminator training failed: {exc}") from exc
         flags = empirical_cover_test(disc, ws, cfg.delta)
-        eps_prime = lam_min = None
+        extra = {"tv_gen_vs_pt": _measured_tv(gen, p_hat)}
         if diag is not None:
             g_vals = np.asarray(gen.pdf(ws.points), dtype=float)
-            eps_prime = diag.add_round(g_vals, p_vals, ws.relative_weights(), flags)
-            lam_min = diag.finalize().lambda_min
-        records.append(
-            RoundRecord(
-                round=t,
-                log2_total=ws.log2_total,
-                doubled=flags,
-                n_doubled=int(flags.sum()),
-                tv_gen_vs_pt=_measured_tv(gen, p_hat),
-                minority_ratio=_minority_share(ws, cfg.minority_indices),
-                epsilon_prime=eps_prime,
-                lambda_min=lam_min,
+            extra["epsilon_prime"] = diag.add_round(
+                g_vals, p_vals, ws.relative_weights(), flags
             )
-        )
-        generators.append(gen)
-        ws = double_weights(ws, flags)
-    trace = RoundTrace(
-        init_log2_weights=np.full(n, -np.log2(float(n))),
-        rounds=tuple(records),
-        final_log2_total=ws.log2_total,
-    )
-    return GeneratorMixture(tuple(generators)), trace
+            extra["lambda_min"] = diag.finalize().lambda_min
+        return gen, flags, extra
+
+    return _run(ws, cfg, step)

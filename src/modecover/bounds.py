@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ContractViolation, DiscreteDistribution
+from .core import ContractViolation, DiscreteDistribution, sqdist
 
 LN2 = math.log(2.0)
 
@@ -268,14 +268,8 @@ def mode_coverage_count(
     samples = np.asarray(samples, dtype=float)
     if samples.size == 0:
         return 0
-    samples = np.atleast_2d(samples)
-    covered = 0
-    radius2 = (3.0 * sigma0) ** 2
-    for c in centers:
-        d2 = np.sum((samples - c) ** 2, axis=1)
-        if np.count_nonzero(d2 <= radius2) >= threshold:
-            covered += 1
-    return covered
+    near = sqdist(np.atleast_2d(samples), centers) <= (3.0 * sigma0) ** 2
+    return int(np.count_nonzero(np.count_nonzero(near, axis=0) >= threshold))
 
 
 def minority_weight_ratio(trace, minority_indices) -> np.ndarray:
@@ -313,9 +307,7 @@ def kde_mean_loglik(model, eval_points, bandwidth: float = 0.1) -> float:
     centers = np.atleast_2d(np.asarray(model, dtype=float))
     d = centers.shape[1]
     lognorm = d * (0.5 * math.log(2.0 * math.pi) + math.log(bandwidth))
-    z2 = np.sum((pts[:, None, :] - centers[None, :, :]) ** 2, axis=2) / (
-        2.0 * bandwidth**2
-    )
+    z2 = sqdist(pts, centers) / (2.0 * bandwidth**2)
     # log-sum-exp over centers: keeps far-tail log densities finite
     m = -z2.min(axis=1)
     logs = m + np.log(np.mean(np.exp(-z2 - m[:, None]), axis=1)) - lognorm

@@ -303,10 +303,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--trials", type=int, default=None)
     p_verify.add_argument("--seed", type=int, default=None)
     p_verify.add_argument("--out", default=None)
-    p_verify.add_argument(
-        "--threads", type=int, default=1,
-        help="accepted for interface compatibility; trials run sequentially",
-    )
     p_verify.set_defaults(fn=cmd_verify)
     return parser
 

@@ -18,6 +18,9 @@ from scipy.special import ndtr
 
 MASS_TOL = 1e-9
 
+# bytes of the (rows, k, d) difference block `sqdist` builds at a time
+_SQDIST_BLOCK_BYTES = 16 * 2**20
+
 
 class ConfigurationError(ValueError):
     """Raised when an input or hyperparameter cannot define a valid object."""
@@ -81,6 +84,41 @@ class DiscreteDistribution:
         rng = np.random.default_rng(seed)
         idx = rng.choice(self.size, size=count, p=self.mass)
         return self.support[idx]
+
+
+def sqdist(x: np.ndarray, y: np.ndarray, scale=None) -> np.ndarray:
+    """Pairwise squared distances: ``((x[:, None, :] - y[None, :, :]) ** 2
+    [/ scale]).sum(axis=2)`` as an (m, k) array, where `scale` broadcasts
+    against (k, d).
+
+    The difference tensor is built a block of rows at a time, so memory is
+    O(m * k) plus a fixed block; each entry is computed with the same
+    operations in the same order as the full broadcast, so the result is
+    bit-identical to it.
+    """
+    out = np.empty((len(x), len(y)))
+    rows = max(1, _SQDIST_BLOCK_BYTES // (8 * y.size))
+    block = np.empty((min(rows, len(x)), *y.shape))
+    for i in range(0, len(x), rows):
+        diff = block[: min(rows, len(x) - i)]
+        np.subtract(x[i : i + rows, None, :], y, out=diff)
+        np.square(diff, out=diff)
+        if scale is not None:
+            np.divide(diff, scale, out=diff)
+        diff.sum(axis=2, out=out[i : i + rows])
+    return out
+
+
+def row_lookup(support: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    """Index of the first row of `support` equal (==) to each query row, or
+    -1 where no row is. Coordinates must be finite."""
+    # adding 0.0 turns -0.0 into 0.0, after which equal rows have equal bytes
+    row = np.dtype((np.void, 8 * support.shape[1]))
+    keys = np.ascontiguousarray(support + 0.0).view(row).ravel()
+    wanted = np.ascontiguousarray(queries + 0.0).view(row).ravel()
+    order = np.argsort(keys, kind="stable")
+    first = order[np.minimum(np.searchsorted(keys, wanted, sorter=order), len(keys) - 1)]
+    return np.where(keys[first] == wanted, first, -1)
 
 
 def uniform_on(points) -> DiscreteDistribution:
@@ -221,10 +259,9 @@ class AnalyticDensity:
             raise ContractViolation(
                 f"query dim {pts.shape[1]} != density dim {self.dim}"
             )
-        # (m, K, d) residuals; product kernel over d
-        z2 = (pts[:, None, :] - self.means[None, :, :]) ** 2 / self.variances
+        z2 = sqdist(pts, self.means, self.variances)
         lognorm = 0.5 * np.sum(np.log(2.0 * np.pi * self.variances), axis=1)
-        comp = np.exp(-0.5 * z2.sum(axis=2) - lognorm)
+        comp = np.exp(-0.5 * z2 - lognorm)
         out = comp @ self.weights
         return float(out[0]) if scalar else out
 
@@ -243,11 +280,6 @@ class AnalyticDensity:
         sd = np.sqrt(self.variances)
         per_axis = ndtr((hi - self.means) / sd) - ndtr((lo - self.means) / sd)
         return float(np.dot(self.weights, np.prod(per_axis, axis=1)))
-
-
-def analytic_pdf(density: AnalyticDensity, x) -> float:
-    """Evaluate a Gaussian-mixture density at a single point."""
-    return float(density.pdf(np.atleast_1d(np.asarray(x, dtype=float))))
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,8 @@ from .core import (
     UnsupportedOperation,
     WeightedDataset,
     as_points,
+    row_lookup,
+    sqdist,
 )
 from .generators import kmeans_pp_centers, lloyd_iterations
 
@@ -56,10 +58,7 @@ class Discriminator:
     def features(self, x) -> np.ndarray:
         pts = as_points(x)
         if self.spec.feature_map == "rbf":
-            z2 = np.sum(
-                (pts[:, None, :] - self.centers[None, :, :]) ** 2, axis=2
-            )
-            phi = np.exp(-z2 / (2.0 * self.scale**2))
+            phi = np.exp(-sqdist(pts, self.centers) / (2.0 * self.scale**2))
         else:
             phi = (pts - self.mean) / self.std
         return np.concatenate([phi, np.ones((len(pts), 1))], axis=1)
@@ -83,14 +82,10 @@ class ExactDiscriminator:
     clamp: float = 1e-6
 
     def predict(self, x) -> np.ndarray:
-        pts = as_points(x)
-        out = np.empty(len(pts))
-        for i, p in enumerate(pts):
-            hit = np.flatnonzero(np.all(self.support == p, axis=1))
-            if hit.size == 0:
-                raise ContractViolation("query off the stub's support")
-            out[i] = self.response[hit[0]]
-        return np.clip(out, self.clamp, 1.0 - self.clamp)
+        idx = row_lookup(self.support, as_points(x))
+        if np.any(idx < 0):
+            raise ContractViolation("query off the stub's support")
+        return np.clip(self.response[idx], self.clamp, 1.0 - self.clamp)
 
 
 def exact_discriminator(p_mass, g_mass, support, clamp: float = 1e-6) -> ExactDiscriminator:
@@ -118,7 +113,7 @@ def _rbf_setup(pooled: np.ndarray, spec: DiscriminatorSpec, rng):
     # kernel width matched to the basis resolution: the median distance from
     # a pooled point to its nearest center (a global median pairwise distance
     # cannot resolve small far-apart clusters)
-    d2 = np.sum((pts[:, None, :] - centers[None, :, :]) ** 2, axis=2)
+    d2 = sqdist(pts, centers)
     scale = float(np.sqrt(np.median(d2.min(axis=1))))
     return centers, max(scale, 1e-6)
 

@@ -19,6 +19,8 @@ from .core import (
     DiscreteDistribution,
     GridSpec,
     as_points,
+    row_lookup,
+    sqdist,
 )
 
 
@@ -160,7 +162,7 @@ def lloyd_iterations(
     points: np.ndarray, weights: np.ndarray, centers: np.ndarray, iters: int = 10
 ) -> np.ndarray:
     for _ in range(iters):
-        d2 = np.sum((points[:, None, :] - centers[None, :, :]) ** 2, axis=2)
+        d2 = sqdist(points, centers)
         owner = np.argmin(d2, axis=1)
         for j in range(len(centers)):
             sel = owner == j
@@ -195,7 +197,7 @@ class GmmGenerator(WeakGenerator):
 
     def fit(self, train: DiscreteDistribution, seed) -> "GmmGenerator":
         pts, w = train.support, train.mass
-        if self.k > len(np.unique(pts, axis=0)):
+        if self.k > len(pts):
             raise FitError(
                 f"k={self.k} exceeds the {len(pts)} distinct training points"
             )
@@ -252,9 +254,9 @@ class GmmGenerator(WeakGenerator):
 
     @staticmethod
     def _log_component_pdf(pts, pi, mu, var):
-        z2 = (pts[:, None, :] - mu[None, :, :]) ** 2 / var
+        z2 = sqdist(pts, mu, var)
         lognorm = 0.5 * np.sum(np.log(2.0 * np.pi * var), axis=1)
-        return np.log(pi)[None, :] - 0.5 * z2.sum(axis=2) - lognorm[None, :]
+        return np.log(pi)[None, :] - 0.5 * z2 - lognorm[None, :]
 
     def pdf(self, x) -> np.ndarray:
         _require_fitted(self, "fitted")
@@ -305,9 +307,7 @@ class KdeGenerator(WeakGenerator):
         pts = as_points(x)
         d = self.centers.shape[1]
         lognorm = d * (0.5 * math.log(2.0 * math.pi) + math.log(self.bandwidth))
-        z2 = np.sum(
-            (pts[:, None, :] - self.centers[None, :, :]) ** 2, axis=2
-        ) / (2.0 * self.bandwidth**2)
+        z2 = sqdist(pts, self.centers) / (2.0 * self.bandwidth**2)
         return np.exp(-z2 - lognorm) @ self.center_mass
 
     def sample(self, count: int, seed) -> np.ndarray:
@@ -480,14 +480,8 @@ class AdversarialCoverageGenerator(WeakGenerator):
     def pdf(self, x) -> np.ndarray:
         """Point masses of the perturbed distribution (counting measure)."""
         _require_fitted(self, "fitted_dist")
-        pts = as_points(x)
-        out = np.zeros(len(pts))
-        support = self.fitted_dist.support
-        for i, p in enumerate(pts):
-            hit = np.flatnonzero(np.all(support == p, axis=1))
-            if hit.size:
-                out[i] = self.fitted_dist.mass[hit[0]]
-        return out
+        idx = row_lookup(self.fitted_dist.support, as_points(x))
+        return np.where(idx >= 0, self.fitted_dist.mass[idx], 0.0)
 
     def support_masses(self, points) -> np.ndarray:
         pts = as_points(points)

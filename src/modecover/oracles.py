@@ -15,11 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .boost import BoostConfig, mixture_support_masses, run_exact
-from .bounds import (
-    coverage_guarantee,
-    single_round_cover_bound,
-    worst_subset,
-)
+from .bounds import coverage_guarantee, single_round_cover_bound
 from .core import ContractViolation, DiscreteDistribution
 from .generators import AdversarialCoverageGenerator, adversarial_make, greedy_uncover_region
 
@@ -282,17 +278,3 @@ def check_mixture_cover_exhaustive(
         first_violation=first,
     )
 
-
-def prefix_matches_exhaustive(
-    ratios, masses, mass_lb: float
-) -> tuple[bool, float, float]:
-    """Compare the prefix heuristic with true subset minimization."""
-    from .bounds import worst_subset_exhaustive
-
-    pre = worst_subset(ratios, masses, mass_lb)
-    exact = worst_subset_exhaustive(ratios, masses, mass_lb)
-    return (
-        abs(pre.ratio - exact.ratio) <= 1e-12,
-        pre.ratio,
-        exact.ratio,
-    )

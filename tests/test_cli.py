@@ -184,10 +184,8 @@ def test_grid_isolated_recipe_via_cli(tmp_path):
     assert (out / "trace.csv").exists()
 
 
-def test_verify_threads_flag_accepted(capsys):
-    assert main(["verify", "eq3", "--trials", "50", "--seed", "2", "--threads", "4"]) == 0
-    doc = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
-    assert doc["violations"] == 0
+def test_verify_threads_flag_rejected():
+    assert main(["verify", "eq3", "--trials", "50", "--seed", "2", "--threads", "4"]) == 1
 
 
 def test_verify_zero_trials_usage_error():

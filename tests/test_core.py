@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from modecover import (
     ContractViolation,
     DiscreteDistribution,
     GridSpec,
-    analytic_pdf,
     double_weights,
     init_weights_empirical,
     init_weights_exact,
@@ -20,6 +20,10 @@ from modecover import (
     save_points_csv,
     uniform_on,
 )
+from modecover import core
+from modecover.core import row_lookup, sqdist
+from modecover.discriminator import exact_discriminator
+from modecover.generators import AdversarialCoverageGenerator
 
 INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
@@ -192,7 +196,7 @@ class TestNormalizeAndDouble:
 class TestAnalyticDensity:
     def test_standard_normal_at_zero(self):
         d = AnalyticDensity([1.0], [[0.0]], [[1.0]])
-        assert analytic_pdf(d, [0.0]) == pytest.approx(INV_SQRT_2PI, rel=1e-12)
+        assert d.pdf([0.0]) == pytest.approx(INV_SQRT_2PI, rel=1e-12)
 
     def test_three_mode_target_at_zero(self):
         from modecover import make_three_gauss_target
@@ -200,12 +204,12 @@ class TestAnalyticDensity:
         p = make_three_gauss_target()
         phi10 = INV_SQRT_2PI * math.exp(-50.0)
         expected = 0.9 * INV_SQRT_2PI + 2 * 0.05 * phi10
-        assert analytic_pdf(p, [0.0]) == pytest.approx(expected, rel=1e-12)
-        assert analytic_pdf(p, [0.0]) == pytest.approx(0.359, abs=5e-4)
+        assert p.pdf([0.0]) == pytest.approx(expected, rel=1e-12)
+        assert p.pdf([0.0]) == pytest.approx(0.359, abs=5e-4)
 
     def test_coincident_means_any_weights(self):
         d = AnalyticDensity([0.2, 0.5, 0.3], [[2.0]] * 3, [[1.0]] * 3)
-        assert analytic_pdf(d, [2.0]) == pytest.approx(INV_SQRT_2PI, rel=1e-12)
+        assert d.pdf([2.0]) == pytest.approx(INV_SQRT_2PI, rel=1e-12)
 
     def test_pdf_symmetry(self):
         from modecover import make_three_gauss_target
@@ -237,6 +241,64 @@ class TestAnalyticDensity:
             AnalyticDensity([0.7, 0.7], [[0.0], [1.0]], [[1.0], [1.0]])
         with pytest.raises(ConfigurationError):
             AnalyticDensity([1.0], [[0.0]], [[0.0]])
+
+
+class TestSqdist:
+    @staticmethod
+    def broadcast(x, y, scale=None):
+        diff2 = (x[:, None, :] - y[None, :, :]) ** 2
+        return (diff2 if scale is None else diff2 / scale).sum(axis=2)
+
+    @pytest.mark.parametrize("m", [0, 5, 7, 25])  # blocks of 7 rows: 25 = 3*7 + 4
+    @pytest.mark.parametrize("d", [1, 2, 9])
+    def test_bit_identical_to_broadcast(self, monkeypatch, m, d):
+        rng = np.random.default_rng(m * 10 + d)
+        x = rng.standard_normal((m, d)) * 3.0
+        y = rng.standard_normal((4, d))
+        monkeypatch.setattr(core, "_SQDIST_BLOCK_BYTES", 7 * 8 * y.size + 5)
+        for scale in (None, rng.uniform(0.1, 2.0, size=(4, d)), 0.3):
+            got = sqdist(x, y, scale)
+            assert got.shape == (m, 4)
+            assert np.array_equal(got, self.broadcast(x, y, scale))
+
+    def test_peak_memory_near_output_size(self):
+        rng = np.random.default_rng(1)
+        x = rng.standard_normal((200_000, 2))
+        y = rng.standard_normal((64, 2))
+        tracemalloc.start()
+        try:
+            out = sqdist(x, y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        full_tensor = x.shape[0] * y.shape[0] * x.shape[1] * 8
+        # the output plus one block of differences
+        assert peak < out.nbytes + core._SQDIST_BLOCK_BYTES + 2**20
+        assert peak < full_tensor
+
+
+class TestRowLookup:
+    SUPPORT = np.array([[0.0, 1.0], [2.0, 3.0], [0.0, 1.0], [-0.0, 5.0], [2.0, 3.0]])
+    QUERIES = np.array([[0.0, 1.0], [2.0, 3.0], [-0.0, 1.0], [0.0, 5.0], [9.0, 9.0]])
+
+    def test_first_equal_row_or_minus_one(self):
+        scan = [
+            next((i for i, s in enumerate(self.SUPPORT) if np.all(s == q)), -1)
+            for q in self.QUERIES
+        ]
+        assert scan == [0, 1, 0, 3, -1]
+        assert row_lookup(self.SUPPORT, self.QUERIES).tolist() == scan
+
+    def test_callers_keep_their_miss_behaviour(self):
+        disc = exact_discriminator(np.arange(5.0), np.ones(5), self.SUPPORT)
+        assert disc.predict(self.QUERIES[:4]).tolist() == [1e-6, 0.5, 1e-6, 0.75]
+        with pytest.raises(ContractViolation):
+            disc.predict(self.QUERIES)
+        support = np.array([[0.0, 1.0], [-0.0, 5.0], [2.0, 3.0]])
+        gen = AdversarialCoverageGenerator(gamma=0.0, victim=[0]).fit(
+            DiscreteDistribution(support, [0.5, 0.25, 0.25])
+        )
+        assert gen.pdf(self.QUERIES).tolist() == [0.5, 0.25, 0.5, 0.25, 0.0]
 
 
 class TestGridSpec:

@@ -162,15 +162,9 @@ class RoundTrace:
             "epsilon_prime,lambda_min\n"
         )
         for r in self.rounds:
-            cells = [
-                str(r.round),
-                repr(r.log2_total),
-                str(r.n_doubled),
-                "" if r.tv_gen_vs_pt is None else repr(r.tv_gen_vs_pt),
-                "" if r.minority_ratio is None else repr(r.minority_ratio),
-                "" if r.epsilon_prime is None else repr(r.epsilon_prime),
-                "" if r.lambda_min is None else repr(r.lambda_min),
-            ]
+            optional = (r.tv_gen_vs_pt, r.minority_ratio, r.epsilon_prime, r.lambda_min)
+            cells = [str(r.round), repr(r.log2_total), str(r.n_doubled)]
+            cells += ["" if v is None else repr(v) for v in optional]
             buf.write(",".join(cells) + "\n")
         return buf.getvalue()
 

@@ -111,7 +111,10 @@ def _build_dataset(spec: dict):
             raise ConfigurationError("csv dataset needs a path")
         points, mode_ids = load_points_csv(spec["path"])
         return Dataset(points, mode_ids, None, None)
-    return make_dataset(kind, seed=spec.get("seed", 0), **spec.get("params", {}))
+    try:
+        return make_dataset(kind, seed=spec.get("seed", 0), **spec.get("params", {}))
+    except TypeError as exc:
+        raise ConfigurationError(f"dataset {kind!r} params: {exc}") from exc
 
 
 def cmd_boost(args) -> int:

@@ -66,7 +66,7 @@ class DiscreteDistribution:
             raise ConfigurationError("masses must be finite and nonnegative")
         if abs(mass.sum() - 1.0) > MASS_TOL:
             raise ConfigurationError(f"masses sum to {mass.sum()!r}, not 1")
-        if len(np.unique(support, axis=0)) != support.shape[0]:
+        if len(row_groups(support)[0]) != support.shape[0]:
             raise ConfigurationError("support points must be distinct")
 
     @property
@@ -109,16 +109,28 @@ def sqdist(x: np.ndarray, y: np.ndarray, scale=None) -> np.ndarray:
     return out
 
 
+def row_groups(points: np.ndarray):
+    """Group the equal (==) rows of a finite (n, d) array.
+
+    Groups are numbered in lexicographic row order. Returns ``(first,
+    inverse)``: ``first[g]`` is the index of group g's first row and
+    ``inverse[i]`` is row i's group. The sort is numeric, so -0.0 == 0.0.
+    """
+    order = np.lexsort(points.T[::-1])
+    ranked = points[order]
+    starts = np.ones(len(points), dtype=bool)
+    np.any(ranked[1:] != ranked[:-1], axis=1, out=starts[1:])
+    inverse = np.empty(len(points), dtype=np.intp)
+    inverse[order] = np.cumsum(starts) - 1
+    return order[starts], inverse
+
+
 def row_lookup(support: np.ndarray, queries: np.ndarray) -> np.ndarray:
     """Index of the first row of `support` equal (==) to each query row, or
     -1 where no row is. Coordinates must be finite."""
-    # adding 0.0 turns -0.0 into 0.0, after which equal rows have equal bytes
-    row = np.dtype((np.void, 8 * support.shape[1]))
-    keys = np.ascontiguousarray(support + 0.0).view(row).ravel()
-    wanted = np.ascontiguousarray(queries + 0.0).view(row).ravel()
-    order = np.argsort(keys, kind="stable")
-    first = order[np.minimum(np.searchsorted(keys, wanted, sorter=order), len(keys) - 1)]
-    return np.where(keys[first] == wanted, first, -1)
+    first, inverse = row_groups(np.concatenate([support, queries]))
+    hit = first[inverse[len(support) :]]
+    return np.where(hit < len(support), hit, -1)
 
 
 def uniform_on(points) -> DiscreteDistribution:
@@ -130,16 +142,9 @@ def uniform_on(points) -> DiscreteDistribution:
 
 def _aggregate(points: np.ndarray, values: np.ndarray):
     """Sum `values` over duplicate rows of `points`, keeping first-seen order."""
-    _, first, inverse = np.unique(
-        points, axis=0, return_index=True, return_inverse=True
-    )
-    order = np.argsort(first, kind="stable")
-    rank = np.empty_like(order)
-    rank[order] = np.arange(len(order))
-    groups = rank[inverse]
-    sums = np.zeros(len(order))
-    np.add.at(sums, groups, values)
-    return points[np.sort(first)], sums
+    first, inverse = row_groups(points)
+    order = np.argsort(first)
+    return points[first[order]], np.bincount(inverse, weights=values)[order]
 
 
 @dataclass(frozen=True)
@@ -332,18 +337,11 @@ class GridSpec:
         width = (self.hi - self.lo) / self.cells
         idx = np.floor((pts - self.lo) / width).astype(int)
         idx = np.clip(idx, 0, self.cells - 1)
-        flat = idx[:, 0]
-        for j in range(1, self.dim):
-            flat = flat * self.cells + idx[:, j]
-        return flat
+        return np.ravel_multi_index(idx.T, (self.cells,) * self.dim)
 
     def cell_lo(self, flat_index: np.ndarray) -> np.ndarray:
         """Lower corner of each flat-indexed cell."""
-        idx = np.empty((len(flat_index), self.dim), dtype=int)
-        rem = np.asarray(flat_index)
-        for j in range(self.dim - 1, -1, -1):
-            idx[:, j] = rem % self.cells
-            rem = rem // self.cells
+        idx = np.stack(np.unravel_index(flat_index, (self.cells,) * self.dim), axis=1)
         width = (self.hi - self.lo) / self.cells
         return self.lo + idx * width
 
@@ -397,7 +395,10 @@ def load_points_csv(path):
     for i, row in enumerate(rows):
         if len(row) != len(header):
             raise ConfigurationError(f"{path}: row {i + 2} has wrong arity")
-        pts[i] = [float(v) for v in row[:d]]
-        if has_mode:
-            modes[i] = int(row[d])
+        try:
+            pts[i] = [float(v) for v in row[:d]]
+            if has_mode:
+                modes[i] = int(row[d])
+        except ValueError as exc:
+            raise ConfigurationError(f"{path}: row {i + 2}: {exc}") from exc
     return as_points(pts), modes

@@ -20,6 +20,7 @@ from .core import (
     UnsupportedOperation,
     WeightedDataset,
     as_points,
+    row_groups,
     row_lookup,
     sqdist,
 )
@@ -102,11 +103,11 @@ def _rbf_setup(pooled: np.ndarray, spec: DiscriminatorSpec, rng):
         idx = rng.choice(len(pts), size=spec.center_subsample, replace=False)
         pts = pts[idx]
     ones = np.ones(len(pts))
-    k = min(spec.n_centers, len(np.unique(pts, axis=0)))
+    k = min(spec.n_centers, len(row_groups(pts)[0]))
     for attempt in range(3):
         centers = kmeans_pp_centers(pts, ones, k, rng)
         centers = lloyd_iterations(pts, ones, centers, iters=10)
-        if len(np.unique(np.round(centers, 12), axis=0)) == len(centers):
+        if len(row_groups(np.round(centers, 12))[0]) == len(centers):
             break
         if attempt == 2:
             raise ConfigurationError("degenerate rbf centers after 3 reseeds")

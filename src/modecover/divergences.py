@@ -14,6 +14,7 @@ from .core import (
     ContractViolation,
     DiscreteDistribution,
     GridSpec,
+    row_groups,
 )
 
 DENSITY_FLOOR = 1e-300
@@ -47,12 +48,9 @@ def _aligned_masses(p: DiscreteDistribution, q: DiscreteDistribution):
         return p.mass, q.mass
     if p.dim != q.dim:
         raise ContractViolation("supports live in different dimensions")
-    union = np.concatenate([p.support, q.support])
-    keys, inverse = np.unique(union, axis=0, return_inverse=True)
-    pm = np.zeros(len(keys))
-    qm = np.zeros(len(keys))
-    np.add.at(pm, inverse[: p.size], p.mass)
-    np.add.at(qm, inverse[p.size :], q.mass)
+    first, inverse = row_groups(np.concatenate([p.support, q.support]))
+    pm = np.bincount(inverse[: p.size], weights=p.mass, minlength=len(first))
+    qm = np.bincount(inverse[p.size :], weights=q.mass, minlength=len(first))
     return pm, qm
 
 

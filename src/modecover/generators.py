@@ -89,8 +89,7 @@ class HistogramGenerator(WeakGenerator):
             raise ConfigurationError("histogram needs a grid before fitting")
         if not 0.0 <= self.alpha < 1.0:
             raise ConfigurationError("alpha must be in [0, 1)")
-        raw = np.zeros(grid.n_cells)
-        np.add.at(raw, grid.locate(train.support), train.mass)
+        raw = self.bin_masses_of(train)
         mass = (1.0 - self.alpha) * raw + self.alpha / grid.n_cells
         return replace(self, bin_mass=mass)
 

@@ -107,6 +107,24 @@ class TestBoostCommand:
         assert main(["boost", "--config", str(cfg)]) == 1
 
 
+@pytest.mark.parametrize(
+    "dataset, csv_text",
+    [
+        ({"kind": "csv"}, "x0,x1\n1.0,2.0\nabc,3.0\n"),
+        ({"kind": "csv"}, "x0,mode_id\n1.0,0\n2.0,zz\n"),
+        ({"kind": "spiral", "params": {"bogus": 1}}, None),
+    ],
+    ids=["bad_coordinate", "bad_mode_id", "unknown_param"],
+)
+def test_malformed_dataset_exits_one(tmp_path, capsys, dataset, csv_text):
+    if csv_text is not None:
+        (tmp_path / "d.csv").write_text(csv_text)
+        dataset = dict(dataset, path=str(tmp_path / "d.csv"))
+    cfg = write_config(tmp_path, dataset=dataset)
+    assert main(["boost", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err.startswith("configuration error:")
+
+
 class TestReproCommand:
     @pytest.mark.parametrize("name", ["fig1", "fig6", "appendix-b"])
     def test_fast_recipes_pass(self, name, tmp_path, capsys):

@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from modecover import (
@@ -21,8 +21,9 @@ from modecover import (
     uniform_on,
 )
 from modecover import core
-from modecover.core import row_lookup, sqdist
+from modecover.core import row_groups, row_lookup, sqdist
 from modecover.discriminator import exact_discriminator
+from modecover.divergences import tv_discrete
 from modecover.generators import AdversarialCoverageGenerator
 
 INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -301,6 +302,83 @@ class TestRowLookup:
         assert gen.pdf(self.QUERIES).tolist() == [0.5, 0.25, 0.5, 0.25, 0.0]
 
 
+VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.5]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def multisets(draw):
+    """(n, d) rows, d = 1..3, drawn with replacement from a few distinct rows,
+    so duplicates (and rows differing only in the sign of a zero) recur."""
+    d = draw(st.integers(min_value=1, max_value=3))
+    rows = st.lists(VALUES, min_size=d, max_size=d)
+    base = draw(st.lists(rows, min_size=1, max_size=6))
+    picks = draw(st.lists(st.integers(0, len(base) - 1), min_size=1, max_size=20))
+    return np.array([base[i] for i in picks], dtype=float).reshape(-1, d)
+
+
+def unique_rows(points):
+    """Reference grouping: np.unique over rows."""
+    _, first, inverse = np.unique(points, axis=0, return_index=True, return_inverse=True)
+    return first, inverse.ravel()
+
+
+def unique_aggregate(points, values):
+    first, inverse = unique_rows(points)
+    order = np.argsort(first, kind="stable")
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    sums = np.zeros(len(order))
+    np.add.at(sums, rank[inverse], values)
+    return points[np.sort(first)], sums
+
+
+def same_bits(a, b):
+    return np.array_equal(a, b) and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestRowGroups:
+    @settings(max_examples=200, deadline=None)
+    @given(multisets())
+    @example(np.array([[-0.0, 2.0]]))
+    @example(np.array([[0.0], [-0.0], [0.0], [-1.0]]))
+    def test_matches_np_unique(self, pts):
+        first, inverse = row_groups(pts)
+        ref_first, ref_inverse = unique_rows(pts)
+        assert np.array_equal(first, ref_first)
+        assert np.array_equal(inverse, ref_inverse)
+
+    @settings(max_examples=100, deadline=None)
+    @given(multisets(), multisets(), st.integers(0, 2**32 - 1))
+    def test_aggregates_bit_identical_to_unique_add_at(self, pts, other, seed):
+        support, counts = unique_aggregate(pts, np.ones(len(pts)))
+        uniform = uniform_on(pts)
+        assert same_bits(uniform.support, support)
+        assert same_bits(uniform.mass, counts / len(pts))
+
+        lw = np.random.default_rng(seed).uniform(-30.0, 30.0, len(pts))
+        ws = core.WeightedDataset(pts, lw, round=1, log2_total=core.log2_weight_sum(lw))
+        u = np.exp2(lw - lw.max())
+        support, mass = unique_aggregate(pts, u / u.sum())
+        dist = normalize(ws)
+        assert same_bits(dist.support, support)
+        assert same_bits(dist.mass, mass)
+
+        if other.shape[1] != pts.shape[1]:
+            other = np.resize(other, (len(other), pts.shape[1]))
+        q = uniform_on(other)
+        if np.array_equal(uniform.support, q.support):
+            return  # equal supports take tv_discrete's fast path, not the union
+        _, inverse = unique_rows(np.concatenate([uniform.support, q.support]))
+        pm = np.zeros(inverse.max() + 1)
+        qm = np.zeros(inverse.max() + 1)
+        np.add.at(pm, inverse[: uniform.size], uniform.mass)
+        np.add.at(qm, inverse[uniform.size :], q.mass)
+        assert tv_discrete(uniform, q) == 0.5 * float(np.abs(pm - qm).sum())
+
+
 class TestGridSpec:
     def test_locate_and_volume(self):
         g = GridSpec([0.0, 0.0], [4.0, 2.0], 4)
@@ -308,6 +386,7 @@ class TestGridSpec:
         assert g.n_cells == 16
         idx = g.locate([[0.1, 0.1], [3.9, 1.9]])
         assert idx[0] == 0 and idx[1] == 15
+        assert g.cell_lo(idx).tolist() == [[0.0, 0.0], [3.0, 1.5]]
 
     def test_out_of_box_clips(self):
         g = GridSpec([0.0], [1.0], 4)

@@ -18,7 +18,8 @@ from scipy.special import ndtr
 
 MASS_TOL = 1e-9
 
-# bytes of the (rows, k, d) difference block `sqdist` builds at a time
+# bytes of the (rows, k, d) difference block `sqdist` builds at a time; it
+# also sets the row blocks of `Discriminator.features`
 _SQDIST_BLOCK_BYTES = 16 * 2**20
 
 
@@ -91,13 +92,36 @@ def sqdist(x: np.ndarray, y: np.ndarray, scale=None) -> np.ndarray:
     [/ scale]).sum(axis=2)`` as an (m, k) array, where `scale` broadcasts
     against (k, d).
 
-    The difference tensor is built a block of rows at a time, so memory is
-    O(m * k) plus a fixed block; each entry is computed with the same
-    operations in the same order as the full broadcast, so the result is
-    bit-identical to it.
+    Rows of x are processed a block at a time, so memory is O(m * k) plus a
+    fixed block, and each entry is bit-identical to the full broadcast:
+
+    - d < 8: numpy sums fewer than 8 terms left to right, so the d
+      column terms ``(x[:, j] - y[:, j]) ** 2 [/ scale[:, j]]`` are added
+      into the output one column at a time through an (rows, k) scratch
+      array, and no (rows, k, d) block is built;
+    - d >= 8: numpy sums pairwise, so each (rows, k, d) difference block is
+      built and summed over its last axis.
+
+    A sum whose terms are all -0.0 (possible only with a negative `scale`)
+    comes out as -0.0 on the column path and 0.0 in the broadcast.
     """
     out = np.empty((len(x), len(y)))
     rows = max(1, _SQDIST_BLOCK_BYTES // (8 * y.size))
+    if y.shape[1] < 8:
+        if scale is not None:
+            scale = np.broadcast_to(scale, y.shape)
+        term = np.empty((min(rows, len(x)), len(y)))
+        for i in range(0, len(x), rows):
+            xb, acc = x[i : i + rows], out[i : i + rows]
+            for j in range(y.shape[1]):
+                t = term[: len(xb)] if j else acc
+                np.subtract(xb[:, j, None], y[:, j], out=t)
+                np.square(t, out=t)
+                if scale is not None:
+                    np.divide(t, scale[:, j], out=t)
+                if j:
+                    acc += t
+        return out
     block = np.empty((min(rows, len(x)), *y.shape))
     for i in range(0, len(x), rows):
         diff = block[: min(rows, len(x) - i)]

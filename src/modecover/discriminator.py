@@ -4,8 +4,8 @@ exact densities when those are available.
 
 The classifier is a logistic model over either standardized affine features
 or radial basis functions at k-means centers of the pooled sample. Training
-is plain full-batch gradient descent with a fixed schedule, so a fixed seed
-gives bit-identical weights.
+takes ridge-regularized Newton steps on the full batch, with backtracking
+on the penalized loss, so a fixed seed gives bit-identical weights.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .core import (
+    _SQDIST_BLOCK_BYTES,
     ConfigurationError,
     ContractViolation,
     UnsupportedOperation,
@@ -57,12 +58,28 @@ class Discriminator:
     loss_path: tuple[float, ...] = field(default=(), repr=False)
 
     def features(self, x) -> np.ndarray:
+        """The (n, K + 1) feature matrix, bias column last.
+
+        RBF features are written into it a row block at a time, in the row
+        blocks `sqdist` uses, so the temporaries stay within a fixed block
+        at any n; the affine map needs none.
+        """
         pts = as_points(x)
         if self.spec.feature_map == "rbf":
-            phi = np.exp(-sqdist(pts, self.centers) / (2.0 * self.scale**2))
+            phi = np.empty((len(pts), len(self.centers) + 1))
+            rows = max(1, _SQDIST_BLOCK_BYTES // (8 * self.centers.size))
+            width = 2.0 * self.scale**2
+            for i in range(0, len(pts), rows):
+                block = slice(i, i + rows)
+                # one expression, so numpy reuses the unnamed block temporary
+                # in place instead of holding it into the next block
+                np.exp(-sqdist(pts[block], self.centers) / width, out=phi[block, :-1])
         else:
-            phi = (pts - self.mean) / self.std
-        return np.concatenate([phi, np.ones((len(pts), 1))], axis=1)
+            phi = np.empty((len(pts), pts.shape[1] + 1))
+            np.subtract(pts, self.mean, out=phi[:, :-1])
+            np.divide(phi[:, :-1], self.std, out=phi[:, :-1])
+        phi[:, -1] = 1.0
+        return phi
 
     def predict(self, x) -> np.ndarray:
         logits = self.features(x) @ self.weights

@@ -145,7 +145,7 @@ def kmeans_pp_centers(points: np.ndarray, weights: np.ndarray, k: int, rng) -> n
     probs = weights / weights.sum()
     centers = np.empty((k, points.shape[1]))
     centers[0] = points[rng.choice(n, p=probs)]
-    d2 = np.sum((points - centers[0]) ** 2, axis=1)
+    d2 = sqdist(points, centers[:1])[:, 0]
     for j in range(1, k):
         scores = probs * d2
         total = scores.sum()
@@ -153,21 +153,39 @@ def kmeans_pp_centers(points: np.ndarray, weights: np.ndarray, k: int, rng) -> n
             centers[j] = points[rng.choice(n, p=probs)]
         else:
             centers[j] = points[rng.choice(n, p=scores / total)]
-        d2 = np.minimum(d2, np.sum((points - centers[j]) ** 2, axis=1))
+        d2 = np.minimum(d2, sqdist(points, centers[j : j + 1])[:, 0])
     return centers
 
 
 def lloyd_iterations(
     points: np.ndarray, weights: np.ndarray, centers: np.ndarray, iters: int = 10
 ) -> np.ndarray:
+    """Move each center with owned weight to the weighted mean of the points
+    nearest to it, `iters` times, in place.
+
+    With all-one weights and d >= 2 the means are `np.bincount` sums over
+    the owners divided by the counts: both add the owned rows in index
+    order, so they equal `np.average` bit for bit. At d = 1 `np.average`
+    sums the (m, 1) column pairwise, and with other weights its
+    denominator is a different sum, so those keep the per-center loop.
+    """
+    k, d = centers.shape
+    unit = d >= 2 and bool(np.all(weights == 1.0))
     for _ in range(iters):
-        d2 = sqdist(points, centers)
-        owner = np.argmin(d2, axis=1)
-        for j in range(len(centers)):
-            sel = owner == j
-            wsum = weights[sel].sum()
-            if wsum > 0:
-                centers[j] = np.average(points[sel], axis=0, weights=weights[sel])
+        owner = np.argmin(sqdist(points, centers), axis=1)
+        if unit:
+            counts = np.bincount(owner, minlength=k)
+            sums = np.stack(
+                [np.bincount(owner, points[:, c], minlength=k) for c in range(d)], axis=1
+            )
+            hit = counts > 0
+            centers[hit] = sums[hit] / counts[hit, None]
+        else:
+            for j in range(k):
+                sel = owner == j
+                wsum = weights[sel].sum()
+                if wsum > 0:
+                    centers[j] = np.average(points[sel], axis=0, weights=weights[sel])
     return centers
 
 

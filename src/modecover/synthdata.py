@@ -58,6 +58,8 @@ def make_sine_dataset(
     mode holds round(n_major / ratio) Gaussian points. Returns (points,
     mode_ids) with mode_id 0 for the curve and 1 for the cluster.
     """
+    if ratio <= 0:
+        raise ConfigurationError("ratio must be positive")
     if n_major < ratio:
         raise ConfigurationError("n_major must be at least `ratio`")
     n_minor = int(round(n_major / ratio))
@@ -75,6 +77,8 @@ def make_sine_dataset(
 
 def _mode_samples(centers: np.ndarray, var: float, n: int, rng):
     """n samples split round-robin over the mode centers, Gaussian noise."""
+    if n < 1:
+        raise ConfigurationError(f"need at least one sample, got n={n!r}")
     m = len(centers)
     mode_ids = np.arange(n) % m
     noise = np.sqrt(var) * rng.standard_normal((n, centers.shape[1]))

@@ -113,8 +113,20 @@ class TestBoostCommand:
         ({"kind": "csv"}, "x0,x1\n1.0,2.0\nabc,3.0\n"),
         ({"kind": "csv"}, "x0,mode_id\n1.0,0\n2.0,zz\n"),
         ({"kind": "spiral", "params": {"bogus": 1}}, None),
+        ({"kind": "spiral", "params": {"n": -3}}, None),
+        ({"kind": "gauss_grid", "params": {"n": -2}}, None),
+        ({"kind": "grid_isolated", "params": {"n": -1}}, None),
+        ({"kind": "sine", "params": {"n_major": 5, "ratio": -1}}, None),
     ],
-    ids=["bad_coordinate", "bad_mode_id", "unknown_param"],
+    ids=[
+        "bad_coordinate",
+        "bad_mode_id",
+        "unknown_param",
+        "negative_n",
+        "negative_n_gauss_grid",
+        "negative_n_grid_isolated",
+        "negative_ratio",
+    ],
 )
 def test_malformed_dataset_exits_one(tmp_path, capsys, dataset, csv_text):
     if csv_text is not None:

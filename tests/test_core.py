@@ -251,7 +251,8 @@ class TestSqdist:
         return (diff2 if scale is None else diff2 / scale).sum(axis=2)
 
     @pytest.mark.parametrize("m", [0, 5, 7, 25])  # blocks of 7 rows: 25 = 3*7 + 4
-    @pytest.mark.parametrize("d", [1, 2, 9])
+    # d = 7 is the last column-accumulated d, d = 8 the first summed block
+    @pytest.mark.parametrize("d", [1, 2, 7, 8, 9])
     def test_bit_identical_to_broadcast(self, monkeypatch, m, d):
         rng = np.random.default_rng(m * 10 + d)
         x = rng.standard_normal((m, d)) * 3.0

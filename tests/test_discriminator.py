@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from modecover import (
+    Discriminator,
     DiscriminatorSpec,
     diagnostics,
     empirical_cover_test,
@@ -10,6 +13,7 @@ from modecover import (
     ratio_estimate,
     train_discriminator,
 )
+from modecover.core import _SQDIST_BLOCK_BYTES
 
 AFFINE = DiscriminatorSpec(feature_map="affine")
 
@@ -72,6 +76,45 @@ class TestTraining:
             preds = disc.predict([[0.0], [1.0]])
             errs.append(np.mean([abs(preds[0] - 5 / 12), abs(preds[1] - 1.0)]))
         assert errs[1] < errs[0]
+
+
+class TestFeatures:
+    @staticmethod
+    def concatenated(disc, pts):
+        # the one-shot feature formula, kept as the reference
+        if disc.spec.feature_map == "rbf":
+            d2 = ((pts[:, None, :] - disc.centers[None, :, :]) ** 2).sum(axis=2)
+            phi = np.exp(-d2 / (2.0 * disc.scale**2))
+        else:
+            phi = (pts - disc.mean) / disc.std
+        return np.concatenate([phi, np.ones((len(pts), 1))], axis=1)
+
+    @pytest.mark.parametrize("spec", [DiscriminatorSpec(), AFFINE], ids=["rbf", "affine"])
+    def test_bit_identical_to_concatenate(self, spec):
+        rng = np.random.default_rng(11)
+        pos = rng.normal(1.0, 2.0, (600, 2))
+        neg = rng.normal(-1.0, 2.0, (600, 2))
+        disc = train_discriminator(pos, neg, spec, seed=4)
+        pts = rng.normal(0.0, 3.0, (20_500, 2))
+        if spec.feature_map == "rbf":  # more than one row block
+            assert len(pts) > _SQDIST_BLOCK_BYTES // (8 * disc.centers.size)
+        want = self.concatenated(disc, pts)
+        assert np.array_equal(disc.features(pts), want)
+        probs = np.clip(1.0 / (1.0 + np.exp(-(want @ disc.weights))), 1e-6, 1.0 - 1e-6)
+        assert np.array_equal(disc.predict(pts), probs)
+
+    def test_peak_memory_is_output_plus_one_block(self):
+        rng = np.random.default_rng(12)
+        centers = rng.standard_normal((64, 2))
+        disc = Discriminator(DiscriminatorSpec(), np.zeros(65), centers, 1.0, None, None)
+        pts = rng.standard_normal((200_000, 2))
+        tracemalloc.start()
+        try:
+            phi = disc.features(pts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < phi.nbytes + _SQDIST_BLOCK_BYTES + 2**20
 
 
 class TestRatioEstimate:

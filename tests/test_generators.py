@@ -20,6 +20,7 @@ from modecover import (
     tv_discrete,
     uniform_on,
 )
+from modecover.generators import lloyd_iterations
 
 
 def discretized(density, lo=-20.0, hi=20.0, n=4001):
@@ -222,6 +223,36 @@ class TestAdversarialGenerator:
         gen = AdversarialCoverageGenerator(gamma=0.5, victim=[1]).fit(base)
         samples = gen.sample(100, seed=0)
         assert np.all(samples == 0.0)
+
+
+class TestLloyd:
+    @staticmethod
+    def average_loop(points, weights, centers, iters):
+        # the per-center np.average step, kept as the reference
+        for _ in range(iters):
+            d2 = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+            owner = np.argmin(d2, axis=1)
+            for j in range(len(centers)):
+                sel = owner == j
+                if weights[sel].sum() > 0:
+                    centers[j] = np.average(points[sel], axis=0, weights=weights[sel])
+        return centers
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("weighting", ["ones", "dirichlet"])
+    def test_bit_identical_to_average_loop(self, d, weighting):
+        rng = np.random.default_rng(10 * d + len(weighting))
+        for _ in range(8):
+            n = int(rng.integers(20, 600))
+            points = rng.standard_normal((n, d)) * rng.uniform(0.1, 10.0, size=d)
+            points[: n // 10] = points[n // 10 : 2 * (n // 10)]  # duplicate rows
+            weights = np.ones(n) if weighting == "ones" else rng.dirichlet(np.ones(n))
+            start = points[rng.choice(n, size=12, replace=False)]
+            start[-1] = 1e6  # a center that owns no point stays put
+            got = lloyd_iterations(points, weights, start.copy(), iters=6)
+            want = self.average_loop(points, weights, start.copy(), iters=6)
+            assert np.array_equal(got, want)
+            assert np.all(got[-1] == 1e6)
 
 
 class TestSupportMassNormalization:

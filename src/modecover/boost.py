@@ -23,7 +23,6 @@ from .core import (
     ConfigurationError,
     ContractViolation,
     DiscreteDistribution,
-    UnsupportedOperation,
     WeightedDataset,
     double_weights,
     init_weights_empirical,
@@ -66,7 +65,6 @@ class BoostConfig:
     discriminator: DiscriminatorSpec | None = None
     resample_size: int | None = None
     disc_sample_size: int | None = None
-    delta_prime: float | None = None
     minority_indices: np.ndarray | None = None
 
     def __post_init__(self):
@@ -101,9 +99,6 @@ class GeneratorMixture:
 
 def mixture_pdf(mixture: GeneratorMixture, x) -> np.ndarray:
     """Pointwise mean of the member densities."""
-    for gen in mixture.generators:
-        if not gen.supports_exact_pdf:
-            raise UnsupportedOperation("a member generator has no exact pdf")
     vals = [np.asarray(gen.pdf(x), dtype=float) for gen in mixture.generators]
     return sum(vals) / len(vals)
 
@@ -169,9 +164,8 @@ class RoundTrace:
         return buf.getvalue()
 
     @property
-    def max_tv(self) -> float | None:
-        vals = [r.tv_gen_vs_pt for r in self.rounds if r.tv_gen_vs_pt is not None]
-        return max(vals) if vals else None
+    def max_tv(self) -> float:
+        return max(r.tv_gen_vs_pt for r in self.rounds)
 
 
 def _minority_share(ws: WeightedDataset, indices) -> float | None:
@@ -220,8 +214,6 @@ def run_exact(target: DiscreteDistribution, cfg: BoostConfig):
     compared directly against the target's, and weights double on strict
     shortfall below delta times the target mass.
     """
-    if not cfg.generator.supports_exact_pdf:
-        raise ConfigurationError("exact mode needs an exact-pdf generator")
     gen_spec = cfg.generator
     if isinstance(gen_spec, AdversarialCoverageGenerator) and gen_spec.target is None:
         gen_spec = replace(gen_spec, target=target, delta=cfg.delta)
@@ -239,18 +231,16 @@ def run_exact(target: DiscreteDistribution, cfg: BoostConfig):
     return _run(init_weights_exact(target), cfg, step)
 
 
-def _measured_tv(gen: WeakGenerator, p_hat: DiscreteDistribution) -> float | None:
+def _measured_tv(gen: WeakGenerator, p_hat: DiscreteDistribution) -> float:
     """Per-round TV between the fitted generator and the round distribution.
 
     Histograms compare bin masses (their native discretization); other
-    exact-pdf generators compare their support-renormalized masses, which is
-    a proxy and labeled as such in the docs.
+    generators compare their support-renormalized masses, which is a proxy
+    and labeled as such in the docs.
     """
     if isinstance(gen, HistogramGenerator):
         data_bins = gen.bin_masses_of(p_hat)
         return 0.5 * float(np.abs(gen.bin_mass - data_bins).sum())
-    if not gen.supports_exact_pdf:
-        return None
     g_mass = gen.support_masses(p_hat.support)
     return tv_discrete(DiscreteDistribution(p_hat.support, g_mass), p_hat)
 
@@ -258,12 +248,12 @@ def _measured_tv(gen: WeakGenerator, p_hat: DiscreteDistribution) -> float | Non
 def run_empirical(points, cfg: BoostConfig, exact_target_pdf=None, discriminator_factory=None):
     """Boosting on raw samples with discriminator-estimated density ratios.
 
-    When `exact_target_pdf` is given and the generator has an exact pdf, the
-    per-round discriminator diagnostics are measured against the exact
-    doubling test and reported in the trace. `discriminator_factory` replaces
-    classifier training, e.g. with an ideal-response stub; it is called as
-    factory(p_hat, fitted_generator, pos, neg, seed) and must return an
-    object with a ``predict(points)`` method.
+    When `exact_target_pdf` is given, the per-round discriminator
+    diagnostics are measured against the exact doubling test and reported
+    in the trace. `discriminator_factory` replaces classifier training, e.g.
+    with an ideal-response stub; it is called as factory(p_hat,
+    fitted_generator, pos, neg, seed) and must return an object with a
+    ``predict(points)`` method.
     """
     ws = init_weights_empirical(points)
     n = ws.size
@@ -277,8 +267,8 @@ def run_empirical(points, cfg: BoostConfig, exact_target_pdf=None, discriminator
     resample = cfg.resample_size or n
     n_disc = cfg.disc_sample_size or n
     diag = None
-    if exact_target_pdf is not None and cfg.generator.supports_exact_pdf:
-        diag = DiagnosticsAccumulator(n, cfg.delta, cfg.delta_prime)
+    if exact_target_pdf is not None:
+        diag = DiagnosticsAccumulator(n, cfg.delta)
         p_vals = np.asarray(
             exact_target_pdf(ws.points)
             if callable(exact_target_pdf)

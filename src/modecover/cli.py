@@ -152,17 +152,12 @@ def cmd_boost(args) -> int:
                 "exact mode needs distinct points (duplicates were aggregated)"
             )
         mixture, trace = run_exact(target, cfg)
-        g_star = mixture_support_masses(mixture, target.support)
-        report = coverage_report(g_star, target)
         method = "exact_support"
     else:
         mixture, trace = run_empirical(points, cfg)
         target = uniform_on(points)
-        report = None
         method = "support_renormalized"
-        if all(g.supports_exact_pdf for g in mixture.generators):
-            g_star = mixture_support_masses(mixture, target.support)
-            report = coverage_report(g_star, target)
+    report = coverage_report(mixture_support_masses(mixture, target.support), target)
 
     mode_cov = None
     if centers is not None and data.mode_var is not None and "eval" in config:
@@ -181,9 +176,7 @@ def cmd_boost(args) -> int:
         }
 
     gamma_max = trace.max_tv
-    guarantee_value = (
-        None if gamma_max is None else coverage_guarantee(cfg.delta, gamma_max, cfg.eta)
-    )
+    guarantee_value = coverage_guarantee(cfg.delta, gamma_max, cfg.eta)
     summary = {
         "mode": config["mode"],
         "rounds": cfg.rounds,
@@ -191,8 +184,8 @@ def cmd_boost(args) -> int:
         "eta": cfg.eta,
         "seed": cfg.seed,
         "n_samples": int(len(points)),
-        "psi_hat": None if report is None else report.psi_hat,
-        "worst_subset_ratio": None if report is None else report.worst_subset.ratio,
+        "psi_hat": report.psi_hat,
+        "worst_subset_ratio": report.worst_subset.ratio,
         "max_round_tv": gamma_max,
         "final_log2_weight": trace.final_log2_total,
         "n_doubled_per_round": [r.n_doubled for r in trace.rounds],
@@ -201,7 +194,7 @@ def cmd_boost(args) -> int:
             "gamma": gamma_max,
             "eta": cfg.eta,
             "value": guarantee_value,
-            "vacuous": bool(guarantee_value is not None and guarantee_value <= 0),
+            "vacuous": bool(guarantee_value <= 0),
         },
         "mode_coverage": mode_cov,
         "minority_ratio": None
@@ -211,16 +204,15 @@ def cmd_boost(args) -> int:
     validate_json(summary, "summary")
     mixture_doc = mixture.to_config()
     validate_json(mixture_doc, "mixture")
+    report_doc = report.to_json_dict()
+    report_doc["method"] = method
+    validate_json(report_doc, "coverage_report")
     files = {
         "trace.csv": trace.to_csv(),
         "mixture.json": _dump_json(mixture_doc),
         "summary.json": _dump_json(summary),
+        "coverage_report.json": _dump_json(report_doc),
     }
-    if report is not None:
-        report_doc = report.to_json_dict()
-        report_doc["method"] = method
-        validate_json(report_doc, "coverage_report")
-        files["coverage_report.json"] = _dump_json(report_doc)
     if args.out:
         _write_outputs(Path(args.out), files)
         (Path(args.out) / "meta.json").write_text(_meta(sys.argv[1:]))

@@ -234,9 +234,7 @@ def init_weights_exact(target: DiscreteDistribution) -> WeightedDataset:
 
 def normalize(ws: WeightedDataset) -> DiscreteDistribution:
     """Current round distribution: mass_i = w_i / W, duplicates aggregated."""
-    u = np.exp2(ws.log2_weight - ws.log2_weight.max())
-    per_sample = u / u.sum()
-    support, mass = _aggregate(ws.points, per_sample)
+    support, mass = _aggregate(ws.points, ws.relative_weights())
     return DiscreteDistribution(support, mass)
 
 
@@ -347,11 +345,6 @@ class GridSpec:
             np.linspace(self.lo[j], self.hi[j], self.cells + 1)
             for j in range(self.dim)
         ]
-
-    def nodes(self) -> np.ndarray:
-        """All grid nodes as an ((cells+1)^d, d) array, C order."""
-        mesh = np.meshgrid(*self.axes(), indexing="ij")
-        return np.stack([m.ravel() for m in mesh], axis=1)
 
     def locate(self, points) -> np.ndarray:
         """Flat cell index of each point; out-of-box points clip to edge cells."""

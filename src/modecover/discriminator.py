@@ -27,6 +27,8 @@ from .core import (
 )
 from .generators import kmeans_pp_centers, lloyd_iterations
 
+_CENTER_SUBSAMPLE = 4096  # cap on the pooled points for k-means and the scale median
+
 
 @dataclass(frozen=True)
 class DiscriminatorSpec:
@@ -35,7 +37,6 @@ class DiscriminatorSpec:
     max_iter: int = 25  # ridge-Newton iterations
     l2: float = 1e-4
     clamp: float = 1e-6
-    center_subsample: int = 4096  # cap for k-means and the scale median
 
     def __post_init__(self):
         if self.feature_map not in ("rbf", "affine"):
@@ -116,8 +117,8 @@ def exact_discriminator(p_mass, g_mass, support, clamp: float = 1e-6) -> ExactDi
 
 def _rbf_setup(pooled: np.ndarray, spec: DiscriminatorSpec, rng):
     pts = pooled
-    if len(pts) > spec.center_subsample:
-        idx = rng.choice(len(pts), size=spec.center_subsample, replace=False)
+    if len(pts) > _CENTER_SUBSAMPLE:
+        idx = rng.choice(len(pts), size=_CENTER_SUBSAMPLE, replace=False)
         pts = pts[idx]
     ones = np.ones(len(pts))
     k = min(spec.n_centers, len(row_groups(pts)[0]))
@@ -209,15 +210,14 @@ def empirical_cover_test(disc, ws: WeightedDataset, delta: float) -> np.ndarray:
 class DiscriminatorDiagnostics:
     """How far the classifier's doubling decisions sit from the exact test.
 
-    epsilon_prime: round-distribution mass of points that were truly covered
-    yet doubled. lambda_min / lambda_mean: across rounds and points, the
-    (worst / target-weighted mean) fraction of not-doubled rounds that truly
-    covered the point at the weaker threshold delta_prime.
+    epsilon_prime: the largest, over rounds, round-distribution mass of
+    points that were truly covered yet doubled. lambda_min: over points, the
+    smallest fraction of not-doubled rounds that truly covered the point at
+    the weaker threshold delta_prime.
     """
 
     epsilon_prime: float
     lambda_min: float
-    lambda_mean: float
     delta_prime: float
 
     def __post_init__(self):
@@ -249,19 +249,16 @@ class DiagnosticsAccumulator:
         self.covered_prime_rounds += g >= self.delta_prime * p
         return eps
 
-    def finalize(self, p_mass=None) -> DiscriminatorDiagnostics:
+    def finalize(self) -> DiscriminatorDiagnostics:
         with np.errstate(divide="ignore", invalid="ignore"):
             lam = np.where(
                 self.kept_rounds > 0,
                 np.minimum(1.0, self.covered_prime_rounds / np.maximum(self.kept_rounds, 1)),
                 1.0,
             )
-        if p_mass is None:
-            p_mass = np.full(len(lam), 1.0 / len(lam))
         return DiscriminatorDiagnostics(
             epsilon_prime=max(self.epsilon_primes) if self.epsilon_primes else 0.0,
             lambda_min=float(lam.min()),
-            lambda_mean=float(np.dot(np.asarray(p_mass), lam)),
             delta_prime=self.delta_prime,
         )
 
@@ -280,4 +277,4 @@ def diagnostics(
     flags = empirical_cover_test(disc, ws, delta)
     acc = DiagnosticsAccumulator(ws.size, delta, delta_prime)
     acc.add_round(g, p, ws.relative_weights(), flags)
-    return acc.finalize(ws.relative_weights())
+    return acc.finalize()

@@ -7,6 +7,7 @@ fitted models are safe to share across threads.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 
@@ -23,6 +24,8 @@ from .core import (
     sqdist,
 )
 
+_EM_TOL = 1e-8  # EM stops once the log-likelihood moves by less, relatively
+
 
 class FitError(RuntimeError):
     """A generator could not be fit to the given distribution."""
@@ -31,12 +34,12 @@ class FitError(RuntimeError):
 class WeakGenerator:
     """Interface: fit(train, seed) -> fitted copy; pdf(x); sample(count, seed).
 
-    `support_masses(points)` is the generator's own distribution restricted
-    and renormalized to a finite support; the exact boosting loop compares
-    those masses against target masses so both sides share one measure.
+    Every generator has an exact pdf. `support_masses(points)` is the
+    generator's own distribution restricted and renormalized to a finite
+    support; the exact boosting loop compares those masses against target
+    masses so both sides share one measure. Hyperparameters are checked on
+    construction, before any fit.
     """
-
-    supports_exact_pdf: bool = True
 
     def fit(self, train: DiscreteDistribution, seed) -> "WeakGenerator":
         raise NotImplementedError
@@ -81,16 +84,15 @@ class HistogramGenerator(WeakGenerator):
     alpha: float = 1e-9
     bin_mass: np.ndarray | None = None
 
-    supports_exact_pdf = True
-
-    def fit(self, train: DiscreteDistribution, seed=None) -> "HistogramGenerator":
-        grid = self.grid
-        if grid is None:
-            raise ConfigurationError("histogram needs a grid before fitting")
+    def __post_init__(self):
+        if self.grid is None:
+            raise ConfigurationError("histogram needs a grid")
         if not 0.0 <= self.alpha < 1.0:
             raise ConfigurationError("alpha must be in [0, 1)")
+
+    def fit(self, train: DiscreteDistribution, seed=None) -> "HistogramGenerator":
         raw = self.bin_masses_of(train)
-        mass = (1.0 - self.alpha) * raw + self.alpha / grid.n_cells
+        mass = (1.0 - self.alpha) * raw + self.alpha / self.grid.n_cells
         return replace(self, bin_mass=mass)
 
     def pdf(self, x) -> np.ndarray:
@@ -206,11 +208,12 @@ class GmmGenerator(WeakGenerator):
     max_iter: int = 100
     var_floor: float = 1e-6
     restarts: int = 3
-    tol: float = 1e-8
     fitted: AnalyticDensity | None = None
     loglik_path: tuple[float, ...] = ()
 
-    supports_exact_pdf = True
+    def __post_init__(self):
+        if self.k < 1:
+            raise ConfigurationError("gmm needs k >= 1")
 
     def fit(self, train: DiscreteDistribution, seed) -> "GmmGenerator":
         pts, w = train.support, train.mass
@@ -237,11 +240,17 @@ class GmmGenerator(WeakGenerator):
         pi = np.full(self.k, 1.0 / self.k)
         mu = centers
         path = []
-        for _ in range(self.max_iter):
+        # one E-step per pass; the last, after max_iter M-steps or on
+        # convergence, scores the final parameters
+        for it in itertools.count():
             log_resp = self._log_component_pdf(pts, pi, mu, var)
             m = log_resp.max(axis=1, keepdims=True)
             norm = m[:, 0] + np.log(np.sum(np.exp(log_resp - m), axis=1))
             path.append(float(np.dot(w, norm)))
+            if it >= self.max_iter or (
+                len(path) > 2 and abs(path[-2] - path[-3]) < _EM_TOL * (1.0 + abs(path[-3]))
+            ):
+                break
             resp = np.exp(log_resp - norm[:, None])
             wr = resp * w[:, None]  # (n, k) posterior mass
             nk = wr.sum(axis=0)
@@ -258,16 +267,7 @@ class GmmGenerator(WeakGenerator):
                 var[j] = np.maximum(
                     wr[:, j] @ (pts - mu[j]) ** 2 / nk[j], self.var_floor
                 )
-            if len(path) > 1 and abs(path[-1] - path[-2]) < self.tol * (
-                1.0 + abs(path[-2])
-            ):
-                break
-        model = AnalyticDensity(pi.copy(), mu.copy(), var.copy())
-        log_resp = self._log_component_pdf(pts, pi, mu, var)
-        m = log_resp.max(axis=1, keepdims=True)
-        norm = m[:, 0] + np.log(np.sum(np.exp(log_resp - m), axis=1))
-        path.append(float(np.dot(w, norm)))
-        return model, path
+        return AnalyticDensity(pi.copy(), mu.copy(), var.copy()), path
 
     @staticmethod
     def _log_component_pdf(pts, pi, mu, var):
@@ -312,11 +312,11 @@ class KdeGenerator(WeakGenerator):
     centers: np.ndarray | None = None
     center_mass: np.ndarray | None = None
 
-    supports_exact_pdf = True
-
-    def fit(self, train: DiscreteDistribution, seed=None) -> "KdeGenerator":
+    def __post_init__(self):
         if self.bandwidth <= 0:
             raise ConfigurationError("bandwidth must be positive")
+
+    def fit(self, train: DiscreteDistribution, seed=None) -> "KdeGenerator":
         return replace(self, centers=train.support, center_mass=train.mass)
 
     def pdf(self, x) -> np.ndarray:
@@ -357,11 +357,11 @@ class FixedFamilyGenerator(WeakGenerator):
     candidates: tuple[AnalyticDensity, ...] = ()
     selected: int | None = None
 
-    supports_exact_pdf = True
-
-    def fit(self, train: DiscreteDistribution, seed=None) -> "FixedFamilyGenerator":
+    def __post_init__(self):
         if not self.candidates:
             raise ConfigurationError("candidate family is empty")
+
+    def fit(self, train: DiscreteDistribution, seed=None) -> "FixedFamilyGenerator":
         scores = []
         for cand in self.candidates:
             with np.errstate(divide="ignore"):
@@ -477,13 +477,15 @@ class AdversarialCoverageGenerator(WeakGenerator):
     fitted_dist: DiscreteDistribution | None = None
     achieved_tv: float | None = None
 
-    supports_exact_pdf = True
+    def __post_init__(self):
+        if not 0.0 <= self.gamma <= 1.0:
+            raise ConfigurationError("gamma must be in [0, 1]")
+        if isinstance(self.victim, str) and self.victim != "greedy":
+            raise ConfigurationError(f"unknown victim rule {self.victim!r}")
 
     def fit(self, train: DiscreteDistribution, seed=None) -> "AdversarialCoverageGenerator":
         target = self.target if self.target is not None else train
         if isinstance(self.victim, str):
-            if self.victim != "greedy":
-                raise ConfigurationError(f"unknown victim rule {self.victim!r}")
             region = greedy_uncover_region(
                 train.mass, target.mass, self.gamma, self.delta
             )
@@ -520,41 +522,37 @@ class AdversarialCoverageGenerator(WeakGenerator):
         return out
 
 
-GENERATOR_KINDS = ("histogram", "gmm", "kde", "fixed_family", "adversarial")
-
-
 def generator_from_config(config: dict, default_grid: GridSpec | None = None) -> WeakGenerator:
     """Build an unfitted generator from the CLI's JSON configuration."""
     kind = config.get("kind")
-    if kind == "histogram":
-        grid = default_grid
-        if "grid" in config:
-            g = config["grid"]
-            grid = GridSpec(np.asarray(g["lo"]), np.asarray(g["hi"]), int(g["cells"]))
-        elif "cells" in config and default_grid is not None:
-            grid = GridSpec(default_grid.lo, default_grid.hi, int(config["cells"]))
-        if grid is None:
-            raise ConfigurationError("histogram config needs a grid")
-        return HistogramGenerator(grid=grid, alpha=config.get("alpha", 1e-9))
-    if kind == "gmm":
-        return GmmGenerator(
-            k=int(config.get("k", 4)),
-            max_iter=int(config.get("max_iter", 100)),
-            var_floor=float(config.get("var_floor", 1e-6)),
-            restarts=int(config.get("restarts", 3)),
-        )
-    if kind == "kde":
-        return KdeGenerator(bandwidth=float(config.get("bandwidth", 0.1)))
-    if kind == "fixed_family":
-        cands = tuple(
-            AnalyticDensity(c["weights"], c["means"], c["variances"])
-            for c in config.get("candidates", [])
-        )
-        return FixedFamilyGenerator(candidates=cands)
-    if kind == "adversarial":
-        return AdversarialCoverageGenerator(
-            gamma=float(config.get("gamma", 0.1)),
-            victim=config.get("victim", "greedy"),
-            delta=float(config.get("delta", 0.25)),
-        )
+    try:
+        if kind == "histogram":
+            grid = default_grid
+            if "grid" in config:
+                g = config["grid"]
+                grid = GridSpec(np.asarray(g["lo"]), np.asarray(g["hi"]), int(g["cells"]))
+            return HistogramGenerator(grid=grid, alpha=config.get("alpha", 1e-9))
+        if kind == "gmm":
+            return GmmGenerator(
+                k=int(config.get("k", 4)),
+                max_iter=int(config.get("max_iter", 100)),
+                var_floor=float(config.get("var_floor", 1e-6)),
+                restarts=int(config.get("restarts", 3)),
+            )
+        if kind == "kde":
+            return KdeGenerator(bandwidth=float(config.get("bandwidth", 0.1)))
+        if kind == "fixed_family":
+            cands = tuple(
+                AnalyticDensity(c["weights"], c["means"], c["variances"])
+                for c in config.get("candidates", [])
+            )
+            return FixedFamilyGenerator(candidates=cands)
+        if kind == "adversarial":
+            return AdversarialCoverageGenerator(
+                gamma=float(config.get("gamma", 0.1)),
+                victim=config.get("victim", "greedy"),
+                delta=float(config.get("delta", 0.25)),
+            )
+    except (TypeError, ValueError, KeyError) as exc:
+        raise ConfigurationError(f"generator {kind!r} config: {exc}") from exc
     raise ConfigurationError(f"unknown generator kind {kind!r}")

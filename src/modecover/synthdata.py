@@ -129,9 +129,6 @@ def make_grid_isolated(n: int, seed=0):
     return points, mode_ids, centers
 
 
-DATASET_KINDS = ("sine", "gauss_grid", "spiral", "grid_isolated")
-
-
 @dataclass(frozen=True)
 class Dataset:
     """A generated point set plus the mode layout it was drawn from.

@@ -13,7 +13,6 @@ from modecover import (
     GridSpec,
     HistogramGenerator,
     KdeGenerator,
-    UnsupportedOperation,
     exact_discriminator,
     mixture_pdf,
     mixture_sample,
@@ -69,16 +68,6 @@ class TestRunExact:
         assert np.allclose(
             mixture_support_masses(mixture, target.support), target.mass, atol=0
         )
-
-    def test_requires_exact_pdf(self):
-        class NoPdf(AdversarialCoverageGenerator):
-            supports_exact_pdf = False
-
-        with pytest.raises(Exception):
-            run_exact(
-                two_point_target(),
-                BoostConfig(generator=NoPdf(), rounds=1, delta=0.25),
-            )
 
     def test_weight_recurrence(self):
         # W_{t+1} = W_t * (1 + doubled round mass), checked per round
@@ -267,12 +256,6 @@ class TestMixture:
         xs = np.linspace(-10, 10, 8001)
         integral = np.trapezoid(mixture_pdf(mix, xs[:, None]), xs)
         assert integral == pytest.approx(1.0, abs=1e-6)
-
-    def test_pdf_requires_exact_members(self):
-        gen = KdeGenerator(bandwidth=0.5).fit(uniform_on([[0.0]]))
-        object.__setattr__(gen, "supports_exact_pdf", False)
-        with pytest.raises(UnsupportedOperation):
-            mixture_pdf(GeneratorMixture((gen,)), [[0.0]])
 
     def test_sampling_balance(self):
         a = AdversarialCoverageGenerator(gamma=0.0, victim=[0]).fit(

@@ -1,10 +1,14 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from modecover.cli import main, validate_json
+from modecover import BoostConfig, DiscriminatorSpec, bounding_grid, generator_from_config
+from modecover.cli import _build_dataset, _load_run_config, main, validate_json
 from modecover.repro import RECIPE_SEEDS, run_recipe
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 def write_config(tmp_path, **overrides):
@@ -135,6 +139,63 @@ def test_malformed_dataset_exits_one(tmp_path, capsys, dataset, csv_text):
     cfg = write_config(tmp_path, dataset=dataset)
     assert main(["boost", "--config", str(cfg)]) == 1
     assert capsys.readouterr().err.startswith("configuration error:")
+
+
+SMALL_SPIRAL = {"kind": "spiral", "seed": 3, "params": {"n": 200}}
+
+
+@pytest.mark.parametrize(
+    "generator",
+    [
+        {"kind": "kde", "bandwidth": -1},
+        {"kind": "histogram", "cells": 8, "alpha": 1.0},
+        {"kind": "gmm", "k": 0},
+        {"kind": "adversarial", "gamma": 1.5},
+        {"kind": "adversarial", "victim": "worst"},
+        {"kind": "fixed_family"},
+        {"kind": "gmm", "k": "x"},
+        {"kind": "histogram", "grid": {"lo": [0, 0]}},
+    ],
+    ids=[
+        "negative_bandwidth",
+        "alpha_one",
+        "gmm_k_zero",
+        "gamma_above_one",
+        "unknown_victim",
+        "empty_family",
+        "gmm_k_not_int",
+        "grid_missing_keys",
+    ],
+)
+def test_malformed_generator_exits_one(tmp_path, capsys, generator):
+    cfg = write_config(tmp_path, dataset=SMALL_SPIRAL, generator=generator)
+    assert main(["boost", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err.startswith("configuration error:")
+
+
+def test_edge_generator_values_still_run(tmp_path):
+    cfg = write_config(
+        tmp_path,
+        dataset=SMALL_SPIRAL,
+        boost={"rounds": 1, "seed": 0, "disc_sample_size": 200},
+        generator={"kind": "gmm", "k": 3, "restarts": 0, "max_iter": 0},
+    )
+    assert main(["boost", "--config", str(cfg)]) == 0
+
+
+@pytest.mark.parametrize(
+    "path", sorted(CONFIG_DIR.glob("*.json")), ids=lambda p: p.name
+)
+def test_example_config_builds(path):
+    # every shipped example passes the schema and the constructors' checks
+    config = _load_run_config(str(path))
+    data = _build_dataset(config["dataset"])
+    grid = bounding_grid(data.points, int(config["generator"].get("cells", 64)))
+    generator = generator_from_config(config["generator"], grid)
+    if "discriminator" in config:
+        DiscriminatorSpec(**config["discriminator"])
+    BoostConfig(generator=generator, **config["boost"])
+
 
 
 class TestReproCommand:

@@ -20,7 +20,7 @@ from modecover import (
     tv_discrete,
     uniform_on,
 )
-from modecover.generators import lloyd_iterations
+from modecover.generators import kmeans_pp_centers, lloyd_iterations
 
 
 def discretized(density, lo=-20.0, hi=20.0, n=4001):
@@ -117,6 +117,79 @@ class TestGmm:
         )
         xs = gen.sample(100000, seed=5)
         assert abs(xs.mean()) < 0.02
+
+    @staticmethod
+    def previous_fit(gen, train, seed, tol=1e-8):
+        # the EM loop with its E-step written twice, kept as the reference
+        pts, w = train.support, train.mass
+        rng = np.random.default_rng(seed)
+        best = None
+        for _ in range(max(1, gen.restarts)):
+            n, d = pts.shape
+            centers = kmeans_pp_centers(pts, w, gen.k, rng)
+            centers = lloyd_iterations(pts, w, centers.copy(), iters=5)
+            global_var = np.average(
+                (pts - np.average(pts, axis=0, weights=w)) ** 2, axis=0, weights=w
+            )
+            var = np.tile(np.maximum(global_var, gen.var_floor), (gen.k, 1))
+            pi = np.full(gen.k, 1.0 / gen.k)
+            mu = centers
+            path = []
+            for _ in range(gen.max_iter):
+                log_resp = gen._log_component_pdf(pts, pi, mu, var)
+                m = log_resp.max(axis=1, keepdims=True)
+                norm = m[:, 0] + np.log(np.sum(np.exp(log_resp - m), axis=1))
+                path.append(float(np.dot(w, norm)))
+                resp = np.exp(log_resp - norm[:, None])
+                wr = resp * w[:, None]
+                nk = wr.sum(axis=0)
+                live = nk > 1e-12
+                pi = np.where(live, nk, 1e-12)
+                pi = pi / pi.sum()
+                for j in range(gen.k):
+                    if not live[j]:
+                        mu[j] = pts[rng.choice(n, p=w / w.sum())]
+                        var[j] = np.maximum(global_var, gen.var_floor)
+                        continue
+                    mu[j] = wr[:, j] @ pts / nk[j]
+                    var[j] = np.maximum(wr[:, j] @ (pts - mu[j]) ** 2 / nk[j], gen.var_floor)
+                if len(path) > 1 and abs(path[-1] - path[-2]) < tol * (1.0 + abs(path[-2])):
+                    break
+            model = AnalyticDensity(pi.copy(), mu.copy(), var.copy())
+            log_resp = gen._log_component_pdf(pts, pi, mu, var)
+            m = log_resp.max(axis=1, keepdims=True)
+            norm = m[:, 0] + np.log(np.sum(np.exp(log_resp - m), axis=1))
+            path.append(float(np.dot(w, norm)))
+            if best is None or path[-1] > best[1][-1]:
+                best = (model, path)
+        return best
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize(
+        "k, max_iter, restarts, stop",
+        [
+            (2, 0, 1, "max_iter"),
+            (2, 1, 2, "max_iter"),
+            (2, 4, 3, "max_iter"),
+            (3, 100, 1, "max_iter"),
+            (2, 100, 2, "converged"),
+        ],
+    )
+    def test_fit_bit_identical_to_previous_loop(self, d, k, max_iter, restarts, stop):
+        rng = np.random.default_rng(20 + d)
+        pts = np.concatenate(
+            [rng.normal(-3.0, 0.5, (120, d)), rng.normal(2.0, 1.0, (180, d))]
+        )
+        train = DiscreteDistribution(pts, rng.dirichlet(np.ones(len(pts))))
+        gen = GmmGenerator(k=k, max_iter=max_iter, restarts=restarts).fit(train, seed=d)
+        model, path = self.previous_fit(gen, train, seed=d)
+        assert gen.loglik_path == tuple(path)
+        for attr in ("weights", "means", "variances"):
+            assert np.array_equal(getattr(gen.fitted, attr), getattr(model, attr))
+        if stop == "max_iter":
+            assert len(path) == max_iter + 1
+        else:
+            assert len(path) < max_iter + 1
 
 
 class TestKde:

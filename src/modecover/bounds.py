@@ -73,18 +73,16 @@ def mixture_cover_bound(delta: float, eps: float, eta: float) -> float:
 
 
 def coverage_guarantee(delta: float, gamma: float, eta: float) -> float:
-    """End-to-end subset coverage factor under a per-round TV budget gamma."""
-    return (1.0 - (gamma + 2.0 * delta) / LN2 - eta) * delta
+    """End-to-end subset coverage factor under a per-round TV budget gamma:
+    each round then leaves at most eps = gamma + 2*delta uncovered."""
+    return mixture_cover_bound(delta, gamma + 2.0 * delta, eta)
 
 
 def noisy_coverage_guarantee(p: TheoryParams) -> float:
     """Coverage factor when the doubling decisions come from an imperfect
     probabilistic classifier instead of exact densities."""
-    return (
-        (1.0 - (p.gamma + 2.0 * p.delta + p.eps_prime) / LN2 - p.eta)
-        * p.delta_prime
-        * p.lam
-    )
+    eps = p.gamma + 2.0 * p.delta + p.eps_prime
+    return mixture_cover_bound(p.delta_prime, eps, p.eta) * p.lam
 
 
 def best_cover_threshold(gamma: float, eta: float):
@@ -106,7 +104,7 @@ def best_cover_threshold(gamma: float, eta: float):
 
 def minimax_cover_bound(delta: float, gamma: float) -> float:
     """Coverage value of the one-shot generator-vs-point game."""
-    return (1.0 - 2.0 * delta - gamma) * delta
+    return single_round_cover_bound(delta, gamma) * delta
 
 
 def generalization_sample_size(

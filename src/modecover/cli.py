@@ -64,22 +64,6 @@ def _dump_json(obj: dict) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def _write_outputs(out_dir: Path, files: dict[str, str]) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for name, content in files.items():
-        (out_dir / name).write_text(content)
-
-
-def _meta(args_list) -> str:
-    return _dump_json(
-        {
-            "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-            "version": __version__,
-            "argv": list(args_list),
-        }
-    )
-
-
 def _json_sanitize(value):
     if isinstance(value, float) and not math.isfinite(value):
         return repr(value)
@@ -88,6 +72,23 @@ def _json_sanitize(value):
     if isinstance(value, list):
         return [_json_sanitize(v) for v in value]
     return value
+
+
+def _finish(out, files: dict[str, str], doc: dict) -> None:
+    """Write `files` and meta.json into directory `out` when one is given,
+    then print `doc` as the one-line JSON summary."""
+    if out:
+        out_dir = Path(out)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        for name, content in files.items():
+            (out_dir / name).write_text(content)
+        meta = {
+            "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
+            "version": __version__,
+            "argv": sys.argv[1:],
+        }
+        (out_dir / "meta.json").write_text(_dump_json(meta))
+    print(json.dumps(_json_sanitize(doc), sort_keys=True))
 
 
 def _load_run_config(path: str) -> dict:
@@ -131,7 +132,11 @@ def cmd_boost(args) -> int:
         minority = np.flatnonzero(mode_ids == config["minority_mode_id"])
         if minority.size == 0:
             raise ConfigurationError("minority_mode_id matches no samples")
-    default_grid = bounding_grid(points, int(config["generator"].get("cells", 64)))
+    try:
+        cells = int(config["generator"].get("cells", 64))
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(f"generator cells: {exc}") from exc
+    default_grid = bounding_grid(points, cells)
     generator = generator_from_config(config["generator"], default_grid)
     disc_spec = (
         DiscriminatorSpec(**config["discriminator"])
@@ -213,10 +218,7 @@ def cmd_boost(args) -> int:
         "summary.json": _dump_json(summary),
         "coverage_report.json": _dump_json(report_doc),
     }
-    if args.out:
-        _write_outputs(Path(args.out), files)
-        (Path(args.out) / "meta.json").write_text(_meta(sys.argv[1:]))
-    print(json.dumps(_json_sanitize(summary), sort_keys=True))
+    _finish(args.out, files, summary)
     return EXIT_OK
 
 
@@ -226,12 +228,7 @@ def cmd_repro(args) -> int:
         return EXIT_USAGE
     values, files = run_recipe(args.name, args.seed)
     validate_json(values, "values")
-    if args.out:
-        files = dict(files)
-        files["values.json"] = _dump_json(values)
-        _write_outputs(Path(args.out), files)
-        (Path(args.out) / "meta.json").write_text(_meta(sys.argv[1:]))
-    print(json.dumps(_json_sanitize(values), sort_keys=True))
+    _finish(args.out, {**files, "values.json": _dump_json(values)}, values)
     if not values["pass"]:
         failing = [c["name"] for c in values["checks"] if not c["pass"]]
         print(f"out-of-tolerance: {', '.join(failing)}", file=sys.stderr)
@@ -267,10 +264,7 @@ def cmd_verify(args) -> int:
     report = SUITES[args.suite](trials, args.seed if args.seed is not None else 0)
     doc = report.to_json_dict()
     validate_json(doc, "oracle_report")
-    if args.out:
-        _write_outputs(Path(args.out), {"oracle_report.json": _dump_json(doc)})
-        (Path(args.out) / "meta.json").write_text(_meta(sys.argv[1:]))
-    print(json.dumps(_json_sanitize(doc), sort_keys=True))
+    _finish(args.out, {"oracle_report.json": _dump_json(doc)}, doc)
     return EXIT_OK if report.ok else EXIT_VERIFY
 
 

@@ -213,12 +213,11 @@ class DiscriminatorDiagnostics:
     epsilon_prime: the largest, over rounds, round-distribution mass of
     points that were truly covered yet doubled. lambda_min: over points, the
     smallest fraction of not-doubled rounds that truly covered the point at
-    the weaker threshold delta_prime.
+    the run's threshold delta.
     """
 
     epsilon_prime: float
     lambda_min: float
-    delta_prime: float
 
     def __post_init__(self):
         if not 0.0 <= self.epsilon_prime <= 1.0:
@@ -230,11 +229,10 @@ class DiscriminatorDiagnostics:
 class DiagnosticsAccumulator:
     """Collects per-round exact-vs-classifier comparisons over a boosting run."""
 
-    def __init__(self, n_points: int, delta: float, delta_prime: float | None = None):
+    def __init__(self, n_points: int, delta: float):
         self.delta = delta
-        self.delta_prime = delta if delta_prime is None else delta_prime
         self.kept_rounds = np.zeros(n_points, dtype=int)
-        self.covered_prime_rounds = np.zeros(n_points, dtype=int)
+        self.covered_rounds = np.zeros(n_points, dtype=int)
         self.epsilon_primes: list[float] = []
 
     def add_round(self, g_vals, p_vals, p_t_mass, flags) -> float:
@@ -246,25 +244,24 @@ class DiagnosticsAccumulator:
         eps = float(np.asarray(p_t_mass)[covered & flags].sum())
         self.epsilon_primes.append(eps)
         self.kept_rounds += ~flags
-        self.covered_prime_rounds += g >= self.delta_prime * p
+        self.covered_rounds += covered
         return eps
 
     def finalize(self) -> DiscriminatorDiagnostics:
         with np.errstate(divide="ignore", invalid="ignore"):
             lam = np.where(
                 self.kept_rounds > 0,
-                np.minimum(1.0, self.covered_prime_rounds / np.maximum(self.kept_rounds, 1)),
+                np.minimum(1.0, self.covered_rounds / np.maximum(self.kept_rounds, 1)),
                 1.0,
             )
         return DiscriminatorDiagnostics(
             epsilon_prime=max(self.epsilon_primes) if self.epsilon_primes else 0.0,
             lambda_min=float(lam.min()),
-            delta_prime=self.delta_prime,
         )
 
 
 def diagnostics(
-    disc, exact_g, exact_p, ws: WeightedDataset, delta: float, delta_prime: float | None = None
+    disc, exact_g, exact_p, ws: WeightedDataset, delta: float
 ) -> DiscriminatorDiagnostics:
     """Single-round diagnostics of `disc` against exact densities.
 
@@ -275,6 +272,6 @@ def diagnostics(
     if g is None or p is None:
         raise UnsupportedOperation("diagnostics need exact densities")
     flags = empirical_cover_test(disc, ws, delta)
-    acc = DiagnosticsAccumulator(ws.size, delta, delta_prime)
+    acc = DiagnosticsAccumulator(ws.size, delta)
     acc.add_round(g, p, ws.relative_weights(), flags)
     return acc.finalize()

@@ -480,8 +480,14 @@ class AdversarialCoverageGenerator(WeakGenerator):
     def __post_init__(self):
         if not 0.0 <= self.gamma <= 1.0:
             raise ConfigurationError("gamma must be in [0, 1]")
-        if isinstance(self.victim, str) and self.victim != "greedy":
-            raise ConfigurationError(f"unknown victim rule {self.victim!r}")
+        if isinstance(self.victim, str):
+            if self.victim != "greedy":
+                raise ConfigurationError(f"unknown victim rule {self.victim!r}")
+        elif not callable(self.victim):
+            try:
+                np.asarray(self.victim, dtype=int)
+            except (TypeError, ValueError) as exc:
+                raise ConfigurationError(f"victim is not an index list: {exc}") from exc
 
     def fit(self, train: DiscreteDistribution, seed=None) -> "AdversarialCoverageGenerator":
         target = self.target if self.target is not None else train

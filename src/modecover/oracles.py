@@ -3,20 +3,23 @@ executable properties of the implementation.
 
 Each oracle draws adversarial-within-budget instances, evaluates the claimed
 inequality exactly, and reports trials, violations, and the worst margin.
-Per-trial seeds derive from (master seed, trial index), so results are
-independent of evaluation order.
+The oracles share one trial loop, `_run_trials`: an oracle supplies only how
+to draw one instance and measure its margin. Per-trial seeds derive from
+(master seed, trial index), so results are independent of evaluation order.
+The weight-growth oracle totals its weights with the shipped
+`core.log2_weight_sum`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .boost import BoostConfig, mixture_support_masses, run_exact
 from .bounds import coverage_guarantee, single_round_cover_bound
-from .core import ContractViolation, DiscreteDistribution
+from .core import ContractViolation, DiscreteDistribution, log2_weight_sum
 from .generators import AdversarialCoverageGenerator, adversarial_make, greedy_uncover_region
 
 SLACK = 1e-12
@@ -52,6 +55,29 @@ class OracleReport:
 
 def _trial_rng(seed, trial: int):
     return np.random.default_rng(np.random.SeedSequence((int(seed), int(trial))))
+
+
+def _run_trials(name, trials, seed, params, trial, tol=SLACK) -> OracleReport:
+    """Run `trial` on each trial's own generator and collect the report.
+
+    `trial(rng)` returns None when its instance has nothing to check, or
+    `(margin, violation)`: a margin below -tol counts as a violation, and
+    the first one is recorded by calling `violation()` for its fields.
+    """
+    violations = 0
+    worst = math.inf
+    first = None
+    for t in range(trials):
+        outcome = trial(_trial_rng(seed, t))
+        if outcome is None:
+            continue
+        margin, violation = outcome
+        worst = min(worst, margin)
+        if margin < -tol:
+            violations += 1
+            if first is None:
+                first = {"trial": t, **violation()}
+    return OracleReport(name, trials, violations, worst, seed, params, first)
 
 
 def _index_support(n: int) -> np.ndarray:
@@ -92,42 +118,27 @@ def check_single_round_cover(
     if not (0.0 < delta <= 1.0 and 0.0 <= gamma <= 1.0):
         raise ContractViolation("delta in (0,1], gamma in [0,1] required")
     bound = single_round_cover_bound(delta, gamma) + threshold_shift
-    violations = 0
-    worst = math.inf
-    first = None
-    for trial in range(trials):
-        rng = _trial_rng(seed, trial)
+
+    def trial(rng):
         p = rng.dirichlet(np.ones(support_size))
         q = rng.dirichlet(np.ones(support_size))
         beta, g_mass, region = _most_adversarial_beta(p, q, delta, gamma, rng)
-        margin = beta - bound
-        worst = min(worst, margin)
-        if margin < -SLACK:
-            violations += 1
-            if first is None:
-                first = {
-                    "trial": trial,
-                    "p": p.tolist(),
-                    "q": q.tolist(),
-                    "g": g_mass.tolist(),
-                    "region": region.tolist(),
-                    "beta": beta,
-                    "bound": bound,
-                }
-    return OracleReport(
-        name="single_round_cover",
-        trials=trials,
-        violations=violations,
-        worst_margin=worst,
-        seed=seed,
-        params={
-            "support_size": support_size,
-            "delta": delta,
-            "gamma": gamma,
-            "threshold_shift": threshold_shift,
-        },
-        first_violation=first,
-    )
+        return beta - bound, lambda: {
+            "p": p.tolist(),
+            "q": q.tolist(),
+            "g": g_mass.tolist(),
+            "region": region.tolist(),
+            "beta": beta,
+            "bound": bound,
+        }
+
+    params = {
+        "support_size": support_size,
+        "delta": delta,
+        "gamma": gamma,
+        "threshold_shift": threshold_shift,
+    }
+    return _run_trials("single_round_cover", trials, seed, params, trial)
 
 
 def check_quarter_cover(trials: int, seed=0) -> OracleReport:
@@ -136,15 +147,8 @@ def check_quarter_cover(trials: int, seed=0) -> OracleReport:
     report = check_single_round_cover(
         trials, support_size=10, delta=0.25, gamma=0.1, seed=seed
     )
-    return OracleReport(
-        name="quarter_cover",
-        trials=report.trials,
-        violations=report.violations,
-        worst_margin=report.worst_margin,
-        seed=seed,
-        params={"delta": 0.25, "gamma": 0.1, "threshold": 0.4},
-        first_violation=report.first_violation,
-    )
+    params = {"delta": 0.25, "gamma": 0.1, "threshold": 0.4}
+    return replace(report, name="quarter_cover", params=params)
 
 
 def _greedy_mass_subset(masses: np.ndarray, cap: float) -> np.ndarray:
@@ -171,34 +175,19 @@ def check_weight_growth(
     if not 0.0 <= eps <= 1.0:
         raise ContractViolation("eps must be in [0, 1]")
     cap_log2 = rounds * math.log2(1.0 + eps)
-    violations = 0
-    worst = math.inf
-    first = None
-    for trial in range(trials):
-        rng = _trial_rng(seed, trial)
+
+    def trial(rng):
         lw = np.log2(rng.dirichlet(np.ones(support_size)))
-        log2_total = 0.0
         for _ in range(rounds):
             u = np.exp2(lw - lw.max())
             p_t = u / u.sum()
             flags = _greedy_mass_subset(p_t, eps)
-            lw = lw + flags
-            log2_total = lw.max() + math.log2(np.sum(np.exp2(lw - lw.max())))
-        margin = cap_log2 - (log2_total - 0.0)
-        worst = min(worst, margin)
-        if margin < -1e-9:
-            violations += 1
-            if first is None:
-                first = {"trial": trial, "log2_final": log2_total, "cap": cap_log2}
-    return OracleReport(
-        name="weight_growth",
-        trials=trials,
-        violations=violations,
-        worst_margin=worst,
-        seed=seed,
-        params={"support_size": support_size, "rounds": rounds, "eps": eps},
-        first_violation=first,
-    )
+            lw = lw + flags  # the doubling `core.double_weights` applies
+        log2_total = log2_weight_sum(lw)
+        return cap_log2 - log2_total, lambda: {"log2_final": log2_total, "cap": cap_log2}
+
+    params = {"support_size": support_size, "rounds": rounds, "eps": eps}
+    return _run_trials("weight_growth", trials, seed, params, trial, tol=1e-9)
 
 
 def _all_subset_masses(masses: np.ndarray) -> np.ndarray:
@@ -224,11 +213,8 @@ def check_mixture_cover_exhaustive(
         raise ContractViolation("exhaustive subset check capped at 12 points")
     bound = coverage_guarantee(delta, gamma, eta)
     mass_lb = 2.0 ** (-eta * rounds)
-    violations = 0
-    worst = math.inf
-    first = None
-    for trial in range(trials):
-        rng = _trial_rng(seed, trial)
+
+    def trial(rng):
         p = rng.dirichlet(np.ones(support_size))
         target = DiscreteDistribution(_index_support(support_size), p)
         cfg = BoostConfig(
@@ -245,36 +231,23 @@ def check_mixture_cover_exhaustive(
         qualifying = p_sub >= mass_lb
         qualifying[0] = False
         margins = g_sub[qualifying] - bound * p_sub[qualifying]
-        if margins.size:
-            m = float(margins.min())
-            worst = min(worst, m)
-            if m < -SLACK:
-                violations += 1
-                if first is None:
-                    bad = int(np.flatnonzero(qualifying)[int(np.argmin(margins))])
-                    first = {
-                        "trial": trial,
-                        "p": p.tolist(),
-                        "g_star": g_star.tolist(),
-                        "subset_code": bad,
-                        "bound": bound,
-                        "max_round_tv": trace.max_tv,
-                    }
-    return OracleReport(
-        name="mixture_cover_exhaustive",
-        trials=trials,
-        violations=violations,
-        worst_margin=worst,
-        seed=seed,
-        params={
-            "support_size": support_size,
-            "rounds": rounds,
-            "delta": delta,
-            "gamma": gamma,
-            "eta": eta,
+        if not margins.size:
+            return None
+        return float(margins.min()), lambda: {
+            "p": p.tolist(),
+            "g_star": g_star.tolist(),
+            "subset_code": int(np.flatnonzero(qualifying)[int(np.argmin(margins))]),
             "bound": bound,
-            "mass_lb": mass_lb,
-        },
-        first_violation=first,
-    )
+            "max_round_tv": trace.max_tv,
+        }
 
+    params = {
+        "support_size": support_size,
+        "rounds": rounds,
+        "delta": delta,
+        "gamma": gamma,
+        "eta": eta,
+        "bound": bound,
+        "mass_lb": mass_lb,
+    }
+    return _run_trials("mixture_cover_exhaustive", trials, seed, params, trial)

@@ -110,6 +110,21 @@ class TestBoundFormulas:
         p3 = TheoryParams(delta=0.25, lam=0.0)
         assert noisy_coverage_guarantee(p3) == 0.0
 
+    def test_composites_bit_identical_to_inline_formulas(self):
+        # each composite is written through the lemma bounds; the float
+        # operations and their order are those of the old closed forms
+        rng = np.random.default_rng(11)
+        for _ in range(2000):
+            d, g, e, ep, lam, dp = rng.random(6)
+            assert coverage_guarantee(d, g, e) == (1.0 - (g + 2.0 * d) / LN2 - e) * d
+            p = TheoryParams(
+                delta=d, gamma=g, eta=e, eps_prime=ep, lam=lam, delta_prime=dp
+            )
+            assert noisy_coverage_guarantee(p) == (
+                (1.0 - (g + 2.0 * d + ep) / LN2 - e) * dp * lam
+            )
+            assert minimax_cover_bound(d, g) == (1.0 - 2.0 * d - g) * d
+
     def test_best_threshold_values(self):
         val, vac = best_cover_threshold(0.0, 0.0)
         assert not vac and val == pytest.approx(LN2 / 4, rel=1e-15)

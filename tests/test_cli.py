@@ -155,6 +155,9 @@ SMALL_SPIRAL = {"kind": "spiral", "seed": 3, "params": {"n": 200}}
         {"kind": "fixed_family"},
         {"kind": "gmm", "k": "x"},
         {"kind": "histogram", "grid": {"lo": [0, 0]}},
+        {"kind": "histogram", "cells": "x"},
+        {"kind": "adversarial", "victim": {"a": 1}},
+        {"kind": "adversarial", "victim": None},
     ],
     ids=[
         "negative_bandwidth",
@@ -165,6 +168,9 @@ SMALL_SPIRAL = {"kind": "spiral", "seed": 3, "params": {"n": 200}}
         "empty_family",
         "gmm_k_not_int",
         "grid_missing_keys",
+        "cells_not_int",
+        "victim_mapping",
+        "victim_null",
     ],
 )
 def test_malformed_generator_exits_one(tmp_path, capsys, generator):
@@ -236,6 +242,18 @@ class TestVerifyCommand:
 
     def test_unknown_suite_usage_error(self):
         assert main(["verify", "nope"]) == 1
+
+    @pytest.mark.parametrize("suite", ["lemma1", "eq3", "dynamics", "theorem1"])
+    def test_report_byte_identical_reruns(self, tmp_path, capsys, suite):
+        outputs = []
+        for run in ("a", "b"):
+            out = tmp_path / run
+            argv = ["verify", suite, "--trials", "5", "--seed", "3", "--out", str(out)]
+            assert main(argv) == 0
+            outputs.append(
+                (capsys.readouterr().out, (out / "oracle_report.json").read_bytes())
+            )
+        assert outputs[0] == outputs[1]
 
     def test_report_written(self, tmp_path):
         out = tmp_path / "v"

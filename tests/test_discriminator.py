@@ -177,7 +177,6 @@ class TestDiagnostics:
         diag = diagnostics(disc, g_vals, p_vals, ws, delta=0.25)
         assert diag.epsilon_prime == 0.0
         assert diag.lambda_min == 1.0
-        assert diag.delta_prime == 0.25
 
     def test_flipped_flags_count_covered_mass(self):
         # four points, half covered; an inverted classifier doubles exactly

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,31 @@ from modecover import (
     check_single_round_cover,
     check_weight_growth,
 )
-from modecover.oracles import _greedy_mass_subset
+from modecover.oracles import SLACK, _greedy_mass_subset, _run_trials, _trial_rng
+
+
+def test_run_trials_counts_and_first_violation():
+    margins = iter([0.5, None, -1.0, -2.0])
+
+    def trial(rng):
+        m = next(margins)
+        return None if m is None else (m, lambda: {"margin": m})
+
+    report = _run_trials("stub", 4, 7, {"k": 1}, trial)
+    assert report.violations == 2
+    assert report.worst_margin == -2.0
+    assert report.first_violation == {"trial": 2, "margin": -1.0}
+    assert (report.name, report.trials, report.seed, report.params) == (
+        "stub", 4, 7, {"k": 1}
+    )
+    assert not report.ok
+
+
+def test_run_trials_tolerance():
+    report = _run_trials("stub", 2, 0, {}, lambda rng: (-SLACK / 2, dict))
+    assert report.ok and report.first_violation is None
+    report = _run_trials("stub", 1, 0, {}, lambda rng: (-0.5, dict), tol=1.0)
+    assert report.ok
 
 
 class TestSingleRoundCover:
@@ -86,6 +112,36 @@ class TestWeightGrowth:
         lw2 = lw + flags
         total = lw2.max() + math.log2(np.sum(np.exp2(lw2 - lw2.max())))
         assert total == pytest.approx(math.log2(1.3), abs=1e-12)
+
+    @pytest.mark.parametrize("eps", [0.0, 0.3, 1.0])
+    @pytest.mark.parametrize("seed", range(10))
+    def test_matches_previous_loop(self, seed, eps):
+        # the previous private loop, which re-totalled the weights with
+        # math.log2 every round; the suite now calls core.log2_weight_sum
+        trials, support_size, rounds = 40, 16, 30
+        cap_log2 = rounds * math.log2(1.0 + eps)
+        violations, worst, first = 0, math.inf, None
+        for trial in range(trials):
+            rng = _trial_rng(seed, trial)
+            lw = np.log2(rng.dirichlet(np.ones(support_size)))
+            log2_total = 0.0
+            for _ in range(rounds):
+                u = np.exp2(lw - lw.max())
+                flags = _greedy_mass_subset(u / u.sum(), eps)
+                lw = lw + flags
+                log2_total = lw.max() + math.log2(np.sum(np.exp2(lw - lw.max())))
+            margin = cap_log2 - log2_total
+            worst = min(worst, margin)
+            if margin < -1e-9:
+                violations += 1
+                if first is None:
+                    first = {"trial": trial, "log2_final": log2_total, "cap": cap_log2}
+        report = check_weight_growth(
+            trials, support_size=support_size, rounds=rounds, eps=eps, seed=seed
+        )
+        assert report.worst_margin == worst
+        assert report.violations == violations
+        assert report.first_violation == first
 
     def test_greedy_subset_respects_cap(self):
         rng = np.random.default_rng(3)

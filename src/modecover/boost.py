@@ -63,7 +63,6 @@ class BoostConfig:
     eta: float = 0.01
     seed: int = 0
     discriminator: DiscriminatorSpec | None = None
-    resample_size: int | None = None
     disc_sample_size: int | None = None
     minority_indices: np.ndarray | None = None
 
@@ -74,6 +73,8 @@ class BoostConfig:
             raise ConfigurationError("delta must lie in (0, 1)")
         if not 0.0 < self.eta < 1.0:
             raise ConfigurationError("eta must lie in (0, 1)")
+        if self.seed < 0:
+            raise ConfigurationError("seed must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -264,7 +265,6 @@ def run_empirical(points, cfg: BoostConfig, exact_target_pdf=None, discriminator
         discriminator_factory = lambda p_hat, gen, pos, neg, seed: train_discriminator(
             pos, neg, disc_spec, seed
         )
-    resample = cfg.resample_size or n
     n_disc = cfg.disc_sample_size or n
     diag = None
     if exact_target_pdf is not None:
@@ -278,7 +278,7 @@ def run_empirical(points, cfg: BoostConfig, exact_target_pdf=None, discriminator
 
     def step(t, ws, p_hat):
         try:
-            train_pts = p_hat.sample(resample, round_rng_seed(cfg.seed, t, "resample"))
+            train_pts = p_hat.sample(n, round_rng_seed(cfg.seed, t, "resample"))
             gen = cfg.generator.fit(
                 uniform_on(train_pts), round_rng_seed(cfg.seed, t, "fit")
             )

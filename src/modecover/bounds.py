@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ContractViolation, DiscreteDistribution, sqdist
+from .core import ContractViolation, DiscreteDistribution, log_sum_exp, sqdist, uniform_on
+from .generators import KdeGenerator
 
 LN2 = math.log(2.0)
 
@@ -292,8 +293,9 @@ def minority_weight_ratio(trace, minority_indices) -> np.ndarray:
 def kde_mean_loglik(model, eval_points, bandwidth: float = 0.1) -> float:
     """Mean natural-log density over eval_points.
 
-    `model` is either an (n, d) sample array (a fixed-bandwidth Gaussian KDE
-    is fit to it) or a callable density.
+    `model` is either an (n, d) sample array, to which a fixed-bandwidth
+    `KdeGenerator` is fit (its log density is a log-sum-exp over the
+    components, so far-tail values stay finite), or a callable density.
     """
     if bandwidth <= 0:
         raise ContractViolation("bandwidth must be positive")
@@ -302,11 +304,5 @@ def kde_mean_loglik(model, eval_points, bandwidth: float = 0.1) -> float:
         vals = np.asarray([model(x) for x in pts], dtype=float)
         with np.errstate(divide="ignore"):
             return float(np.mean(np.log(vals)))
-    centers = np.atleast_2d(np.asarray(model, dtype=float))
-    d = centers.shape[1]
-    lognorm = d * (0.5 * math.log(2.0 * math.pi) + math.log(bandwidth))
-    z2 = sqdist(pts, centers) / (2.0 * bandwidth**2)
-    # log-sum-exp over centers: keeps far-tail log densities finite
-    m = -z2.min(axis=1)
-    logs = m + np.log(np.mean(np.exp(-z2 - m[:, None]), axis=1)) - lognorm
-    return float(np.mean(logs))
+    kde = KdeGenerator(bandwidth).fit(uniform_on(np.atleast_2d(model)))
+    return float(np.mean(log_sum_exp(kde.fitted.log_components(pts))))

@@ -223,9 +223,6 @@ def cmd_boost(args) -> int:
 
 
 def cmd_repro(args) -> int:
-    if args.name not in RECIPES:
-        print(f"unknown recipe {args.name!r}; choose from {sorted(RECIPES)}", file=sys.stderr)
-        return EXIT_USAGE
     values, files = run_recipe(args.name, args.seed)
     validate_json(values, "values")
     _finish(args.out, {**files, "values.json": _dump_json(values)}, values)
@@ -236,36 +233,35 @@ def cmd_repro(args) -> int:
     return EXIT_OK
 
 
+# suite -> (default trials, runner); the runners look the oracles up by name
 SUITES = {
-    "lemma1": lambda trials, seed: check_single_round_cover(trials, seed=seed),
-    "eq3": lambda trials, seed: check_quarter_cover(trials, seed=seed),
-    "dynamics": lambda trials, seed: check_weight_growth(trials, seed=seed),
-    "theorem1": lambda trials, seed: check_mixture_cover_exhaustive(
-        trials=trials, seed=seed
+    "lemma1": (1000, lambda trials, seed: check_single_round_cover(trials, seed=seed)),
+    "eq3": (1000, lambda trials, seed: check_quarter_cover(trials, seed=seed)),
+    "dynamics": (500, lambda trials, seed: check_weight_growth(trials, seed=seed)),
+    "theorem1": (
+        100,
+        lambda trials, seed: check_mixture_cover_exhaustive(trials=trials, seed=seed),
     ),
-}
-
-SUITE_DEFAULT_TRIALS = {
-    "lemma1": 1000,
-    "eq3": 1000,
-    "dynamics": 500,
-    "theorem1": 100,
 }
 
 
 def cmd_verify(args) -> int:
-    if args.suite not in SUITES:
-        print(f"unknown suite {args.suite!r}; choose from {sorted(SUITES)}", file=sys.stderr)
-        return EXIT_USAGE
-    trials = args.trials if args.trials is not None else SUITE_DEFAULT_TRIALS[args.suite]
-    if trials < 1:
-        print("--trials must be at least 1", file=sys.stderr)
-        return EXIT_USAGE
-    report = SUITES[args.suite](trials, args.seed if args.seed is not None else 0)
+    default_trials, run = SUITES[args.suite]
+    trials = args.trials if args.trials is not None else default_trials
+    report = run(trials, args.seed if args.seed is not None else 0)
     doc = report.to_json_dict()
     validate_json(doc, "oracle_report")
     _finish(args.out, {"oracle_report.json": _dump_json(doc)}, doc)
     return EXIT_OK if report.ok else EXIT_VERIFY
+
+
+def _at_least(lo: int):
+    """argparse type: an integer no smaller than `lo`."""
+    def integer(text: str) -> int:
+        if int(text) < lo:
+            raise argparse.ArgumentTypeError(f"must be >= {lo}")
+        return int(text)
+    return integer
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -277,20 +273,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_boost = sub.add_parser("boost", help="run a configured boosting job")
     p_boost.add_argument("--config", required=True, help="JSON run configuration")
-    p_boost.add_argument("--seed", type=int, default=None, help="override config seed")
+    p_boost.add_argument("--seed", type=_at_least(0), default=None, help="override config seed")
     p_boost.add_argument("--out", default=None, help="output directory")
     p_boost.set_defaults(fn=cmd_boost)
 
     p_repro = sub.add_parser("repro", help="replay a pinned recipe")
     p_repro.add_argument("name", choices=sorted(RECIPES))
-    p_repro.add_argument("--seed", type=int, default=None)
+    p_repro.add_argument("--seed", type=_at_least(0), default=None)
     p_repro.add_argument("--out", default=None)
     p_repro.set_defaults(fn=cmd_repro)
 
     p_verify = sub.add_parser("verify", help="run a certification oracle suite")
     p_verify.add_argument("suite", choices=sorted(SUITES))
-    p_verify.add_argument("--trials", type=int, default=None)
-    p_verify.add_argument("--seed", type=int, default=None)
+    p_verify.add_argument("--trials", type=_at_least(1), default=None)
+    p_verify.add_argument("--seed", type=_at_least(0), default=None)
     p_verify.add_argument("--out", default=None)
     p_verify.set_defaults(fn=cmd_verify)
     return parser

@@ -214,6 +214,12 @@ def log2_weight_sum(log2_weights: np.ndarray) -> float:
     return m + float(np.log2(np.sum(np.exp2(log2_weights - m))))
 
 
+def log_sum_exp(terms: np.ndarray) -> np.ndarray:
+    """Row-wise log(sum(exp(terms))), shifted by each row's max."""
+    m = terms.max(axis=1, keepdims=True)
+    return m[:, 0] + np.log(np.sum(np.exp(terms - m), axis=1))
+
+
 def init_weights_empirical(points) -> WeightedDataset:
     """Start every sample at weight 1/n (total weight exactly 1)."""
     pts = as_points(points)
@@ -253,7 +259,8 @@ def double_weights(ws: WeightedDataset, doubled) -> WeightedDataset:
 
 @dataclass(frozen=True)
 class AnalyticDensity:
-    """Mixture of axis-aligned Gaussians with known density and sampler."""
+    """Mixture of axis-aligned Gaussians with known density and sampler; the
+    one evaluation of such a mixture (GMM E-step, KDE, `kde_mean_loglik`)."""
 
     weights: np.ndarray  # (K,)
     means: np.ndarray  # (K, d)
@@ -277,10 +284,8 @@ class AnalyticDensity:
     def dim(self) -> int:
         return self.means.shape[1]
 
-    def pdf(self, x) -> np.ndarray:
-        """Density at one point (scalar out) or at (m, d) points ((m,) out)."""
-        pts = np.asarray(x, dtype=float)
-        scalar = pts.ndim <= 1
+    def _exponents(self, pts: np.ndarray):
+        """(m, K) scaled squared distances to the means, (K,) log normalizers."""
         pts = np.atleast_2d(pts)
         if pts.shape[1] != self.dim:
             raise ContractViolation(
@@ -288,9 +293,19 @@ class AnalyticDensity:
             )
         z2 = sqdist(pts, self.means, self.variances)
         lognorm = 0.5 * np.sum(np.log(2.0 * np.pi * self.variances), axis=1)
-        comp = np.exp(-0.5 * z2 - lognorm)
-        out = comp @ self.weights
-        return float(out[0]) if scalar else out
+        return z2, lognorm
+
+    def pdf(self, x) -> np.ndarray:
+        """Density at one point (scalar out) or at (m, d) points ((m,) out)."""
+        pts = np.asarray(x, dtype=float)
+        z2, lognorm = self._exponents(pts)
+        out = np.exp(-0.5 * z2 - lognorm) @ self.weights
+        return float(out[0]) if pts.ndim <= 1 else out
+
+    def log_components(self, x) -> np.ndarray:
+        """(m, K) log w_k + log N_k(x_i); row-wise `log_sum_exp` is log pdf."""
+        z2, lognorm = self._exponents(np.asarray(x, dtype=float))
+        return np.log(self.weights)[None, :] - 0.5 * z2 - lognorm[None, :]
 
     def sample(self, count: int, seed) -> np.ndarray:
         if count < 0:

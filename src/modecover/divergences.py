@@ -7,7 +7,6 @@ import warnings
 from enum import Enum
 
 import numpy as np
-from scipy.special import ndtr
 
 from .core import (
     AnalyticDensity,
@@ -18,6 +17,8 @@ from .core import (
 )
 
 DENSITY_FLOOR = 1e-300
+QUADRATURE_COVERAGE = 0.9999  # least grid mass `divergence_numeric` accepts
+KL_INTEGRAND_CAP = 1e6
 
 
 class DivergenceKind(Enum):
@@ -118,23 +119,21 @@ def divergence_numeric(
     kind: DivergenceKind,
     grid: GridSpec,
     log_base=2,
-    coverage: float = 0.9999,
-    integrand_cap: float = 1e6,
 ) -> float:
     """Divergence of `a` from `b` (first argument is the KL numerator side).
 
-    The grid must capture at least `coverage` of both masses. Where `a`'s
-    density underflows the integrand is dropped; where only `b`'s does, the
-    ratio uses a floor and the integrand saturates at `integrand_cap` (a
-    warning reports the clip).
+    The grid must capture at least `QUADRATURE_COVERAGE` of both masses.
+    Where `a`'s density underflows the integrand is dropped; where only
+    `b`'s does, the ratio uses a floor and the integrand saturates at
+    `KL_INTEGRAND_CAP` (a warning reports the clip).
     """
     kind = DivergenceKind(kind)
     axes, av = _grid_eval(a, grid)
     _, bv = _grid_eval(b, grid)
     cap_a = _integrate(av, axes)
     cap_b = _integrate(bv, axes)
-    if cap_a < coverage or cap_b < coverage:
-        raise QuadratureCoverageError(cap_a, cap_b, coverage)
+    if cap_a < QUADRATURE_COVERAGE or cap_b < QUADRATURE_COVERAGE:
+        raise QuadratureCoverageError(cap_a, cap_b, QUADRATURE_COVERAGE)
 
     if kind is DivergenceKind.TV:
         return 0.5 * _integrate(np.abs(av - bv), axes)
@@ -142,11 +141,11 @@ def divergence_numeric(
         h2 = 0.5 * _integrate((np.sqrt(av) - np.sqrt(bv)) ** 2, axes)
         return float(np.sqrt(min(max(h2, 0.0), 1.0)))
     if kind is DivergenceKind.KL:
-        return _kl_integral(av, bv, axes, log_base, integrand_cap)
+        return _kl_integral(av, bv, axes, log_base, KL_INTEGRAND_CAP)
     # JS: midpoint never underflows where either side is live
     mv = 0.5 * (av + bv)
-    return 0.5 * _kl_integral(av, mv, axes, log_base, integrand_cap) + 0.5 * (
-        _kl_integral(bv, mv, axes, log_base, integrand_cap)
+    return 0.5 * _kl_integral(av, mv, axes, log_base, KL_INTEGRAND_CAP) + 0.5 * (
+        _kl_integral(bv, mv, axes, log_base, KL_INTEGRAND_CAP)
     )
 
 
@@ -170,13 +169,7 @@ def interval_probability(density: AnalyticDensity, intervals) -> float:
     """Exact 1D mass of a union of disjoint intervals via Gaussian CDFs."""
     if density.dim != 1:
         raise ContractViolation("interval probability is 1D only")
-    mu = density.means[:, 0]
-    sd = np.sqrt(density.variances[:, 0])
-    total = 0.0
-    for lo, hi in intervals:
-        per = ndtr((hi - mu) / sd) - ndtr((lo - mu) / sd)
-        total += float(np.dot(density.weights, per))
-    return total
+    return float(sum(density.box_probability(lo, hi) for lo, hi in intervals))
 
 
 def mle_select(

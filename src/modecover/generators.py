@@ -8,7 +8,6 @@ fitted models are safe to share across threads.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -20,6 +19,7 @@ from .core import (
     DiscreteDistribution,
     GridSpec,
     as_points,
+    log_sum_exp,
     row_lookup,
     sqdist,
 )
@@ -214,6 +214,8 @@ class GmmGenerator(WeakGenerator):
     def __post_init__(self):
         if self.k < 1:
             raise ConfigurationError("gmm needs k >= 1")
+        if not self.var_floor > 0:
+            raise ConfigurationError("gmm needs var_floor > 0")
 
     def fit(self, train: DiscreteDistribution, seed) -> "GmmGenerator":
         pts, w = train.support, train.mass
@@ -241,11 +243,11 @@ class GmmGenerator(WeakGenerator):
         mu = centers
         path = []
         # one E-step per pass; the last, after max_iter M-steps or on
-        # convergence, scores the final parameters
+        # convergence, scores the final parameters, whose density is returned
         for it in itertools.count():
-            log_resp = self._log_component_pdf(pts, pi, mu, var)
-            m = log_resp.max(axis=1, keepdims=True)
-            norm = m[:, 0] + np.log(np.sum(np.exp(log_resp - m), axis=1))
+            model = AnalyticDensity(pi, mu, var)
+            log_resp = model.log_components(pts)
+            norm = log_sum_exp(log_resp)
             path.append(float(np.dot(w, norm)))
             if it >= self.max_iter or (
                 len(path) > 2 and abs(path[-2] - path[-3]) < _EM_TOL * (1.0 + abs(path[-3]))
@@ -267,13 +269,7 @@ class GmmGenerator(WeakGenerator):
                 var[j] = np.maximum(
                     wr[:, j] @ (pts - mu[j]) ** 2 / nk[j], self.var_floor
                 )
-        return AnalyticDensity(pi.copy(), mu.copy(), var.copy()), path
-
-    @staticmethod
-    def _log_component_pdf(pts, pi, mu, var):
-        z2 = sqdist(pts, mu, var)
-        lognorm = 0.5 * np.sum(np.log(2.0 * np.pi * var), axis=1)
-        return np.log(pi)[None, :] - 0.5 * z2 - lognorm[None, :]
+        return model, path
 
     def pdf(self, x) -> np.ndarray:
         _require_fitted(self, "fitted")
@@ -305,42 +301,34 @@ class GmmGenerator(WeakGenerator):
 
 @dataclass(frozen=True)
 class KdeGenerator(WeakGenerator):
-    """Gaussian kernels on the training points; sampling re-draws a training
-    point by weight and jitters it by the bandwidth."""
+    """Gaussian kernels of variance bandwidth**2 on the training points,
+    weighted by mass; sampling re-draws a training point by weight and
+    jitters it by the bandwidth."""
 
     bandwidth: float = 0.1
-    centers: np.ndarray | None = None
-    center_mass: np.ndarray | None = None
+    fitted: AnalyticDensity | None = None
 
     def __post_init__(self):
         if self.bandwidth <= 0:
             raise ConfigurationError("bandwidth must be positive")
 
     def fit(self, train: DiscreteDistribution, seed=None) -> "KdeGenerator":
-        return replace(self, centers=train.support, center_mass=train.mass)
+        var = np.full(train.support.shape, self.bandwidth**2)
+        return replace(self, fitted=AnalyticDensity(train.mass, train.support, var))
 
     def pdf(self, x) -> np.ndarray:
-        _require_fitted(self, "centers")
-        pts = as_points(x)
-        d = self.centers.shape[1]
-        lognorm = d * (0.5 * math.log(2.0 * math.pi) + math.log(self.bandwidth))
-        z2 = sqdist(pts, self.centers) / (2.0 * self.bandwidth**2)
-        return np.exp(-z2 - lognorm) @ self.center_mass
+        _require_fitted(self, "fitted")
+        return self.fitted.pdf(as_points(x))
 
     def sample(self, count: int, seed) -> np.ndarray:
-        _require_fitted(self, "centers")
-        if count < 0:
-            raise ContractViolation("count must be >= 0")
-        rng = np.random.default_rng(seed)
-        idx = rng.choice(len(self.centers), size=count, p=self.center_mass)
-        noise = rng.standard_normal((count, self.centers.shape[1]))
-        return self.centers[idx] + self.bandwidth * noise
+        _require_fitted(self, "fitted")
+        return self.fitted.sample(count, seed)
 
     def to_config(self) -> dict:
         out = {"kind": "kde", "bandwidth": self.bandwidth}
-        if self.centers is not None:
-            out["centers"] = self.centers.tolist()
-            out["center_mass"] = self.center_mass.tolist()
+        if self.fitted is not None:
+            out["centers"] = self.fitted.means.tolist()
+            out["center_mass"] = self.fitted.weights.tolist()
         return out
 
 

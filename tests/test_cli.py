@@ -4,7 +4,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from modecover import BoostConfig, DiscriminatorSpec, bounding_grid, generator_from_config
+from modecover import (
+    BoostConfig,
+    ConfigurationError,
+    DiscriminatorSpec,
+    KdeGenerator,
+    bounding_grid,
+    generator_from_config,
+)
 from modecover.cli import _build_dataset, _load_run_config, main, validate_json
 from modecover.repro import RECIPE_SEEDS, run_recipe
 
@@ -299,3 +306,26 @@ def test_verify_threads_flag_rejected():
 
 def test_verify_zero_trials_usage_error():
     assert main(["verify", "eq3", "--trials", "0"]) == 1
+
+
+@pytest.mark.parametrize(
+    "argv, config",
+    [
+        ([], {"boost": {"rounds": 3, "delta": 0.25, "seed": -1}}),
+        ([], {"dataset": dict(SMALL_SPIRAL, seed=-2)}),
+        (["--seed", "-1"], {}),
+        (["verify", "lemma1", "--seed", "-1"], None),
+        (["repro", "spiral", "--seed", "-1"], None),
+    ],
+    ids=["config_boost_seed", "config_dataset_seed", "boost_flag", "verify", "repro"],
+)
+def test_negative_seed_exits_one(tmp_path, capsys, argv, config):
+    if config is not None:
+        argv = ["boost", "--config", str(write_config(tmp_path, **config)), *argv]
+    assert main(argv) == 1
+    assert "seed" in capsys.readouterr().err  # was "error: expected non-negative integer"
+
+
+def test_boost_config_rejects_negative_seed():
+    with pytest.raises(ConfigurationError, match="seed"):
+        BoostConfig(generator=KdeGenerator(), seed=-1)

@@ -237,6 +237,22 @@ class TestAnalyticDensity:
         )
         assert exact == pytest.approx(float(approx), abs=1e-5)
 
+    def test_log_components_match_pdf(self):
+        d = AnalyticDensity(
+            [0.5, 0.3, 0.2], [[0.0, 1.0], [3.0, -1.0], [-2.0, 0.5]],
+            [[1.0, 2.0], [0.5, 0.25], [0.04, 0.09]],
+        )
+        x = np.concatenate(
+            [np.random.default_rng(3).normal(0.0, 3.0, (400, 2)), [[60.0, -60.0], [0.0, 90.0]]]
+        )
+        log_pdf = core.log_sum_exp(d.log_components(x))
+        assert d.log_components(x).shape == (len(x), 3)
+        pdf = d.pdf(x)
+        live = pdf > 1e-300
+        assert live.sum() >= 380 and not live.all()
+        np.testing.assert_allclose(log_pdf[live], np.log(pdf[live]), rtol=0, atol=1e-12)
+        assert np.all(np.isfinite(log_pdf)) and np.all(log_pdf[~live] < math.log(1e-300))
+
     def test_rejects_bad_weights(self):
         with pytest.raises(ConfigurationError):
             AnalyticDensity([0.7, 0.7], [[0.0], [1.0]], [[1.0], [1.0]])

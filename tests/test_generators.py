@@ -6,6 +6,7 @@ import pytest
 from modecover import (
     AdversarialCoverageGenerator,
     AnalyticDensity,
+    ConfigurationError,
     DiscreteDistribution,
     FitError,
     FixedFamilyGenerator,
@@ -20,6 +21,7 @@ from modecover import (
     tv_discrete,
     uniform_on,
 )
+from modecover.core import sqdist
 from modecover.generators import kmeans_pp_centers, lloyd_iterations
 
 
@@ -107,6 +109,12 @@ class TestGmm:
         gen = GmmGenerator(k=2, var_floor=1e-6).fit(train, seed=0)
         assert np.all(gen.fitted.variances >= 1e-6)
 
+    @pytest.mark.parametrize("var_floor", [0.0, -1.0, float("nan")])
+    def test_rejects_non_positive_variance_floor(self, var_floor):
+        # a collapsed cluster would otherwise give a zero-variance component
+        with pytest.raises(ConfigurationError, match="var_floor"):
+            GmmGenerator(k=3, var_floor=var_floor)
+
     def test_k_exceeding_distinct_points(self):
         with pytest.raises(FitError):
             GmmGenerator(k=5).fit(uniform_on([[0.0], [1.0]]), seed=0)
@@ -122,6 +130,12 @@ class TestGmm:
     def previous_fit(gen, train, seed, tol=1e-8):
         # the EM loop with its E-step written twice, kept as the reference
         pts, w = train.support, train.mass
+
+        def log_component_pdf(pi, mu, var):
+            z2 = sqdist(pts, mu, var)
+            lognorm = 0.5 * np.sum(np.log(2.0 * np.pi * var), axis=1)
+            return np.log(pi)[None, :] - 0.5 * z2 - lognorm[None, :]
+
         rng = np.random.default_rng(seed)
         best = None
         for _ in range(max(1, gen.restarts)):
@@ -136,7 +150,7 @@ class TestGmm:
             mu = centers
             path = []
             for _ in range(gen.max_iter):
-                log_resp = gen._log_component_pdf(pts, pi, mu, var)
+                log_resp = log_component_pdf(pi, mu, var)
                 m = log_resp.max(axis=1, keepdims=True)
                 norm = m[:, 0] + np.log(np.sum(np.exp(log_resp - m), axis=1))
                 path.append(float(np.dot(w, norm)))
@@ -156,7 +170,7 @@ class TestGmm:
                 if len(path) > 1 and abs(path[-1] - path[-2]) < tol * (1.0 + abs(path[-2])):
                     break
             model = AnalyticDensity(pi.copy(), mu.copy(), var.copy())
-            log_resp = gen._log_component_pdf(pts, pi, mu, var)
+            log_resp = log_component_pdf(pi, mu, var)
             m = log_resp.max(axis=1, keepdims=True)
             norm = m[:, 0] + np.log(np.sum(np.exp(log_resp - m), axis=1))
             path.append(float(np.dot(w, norm)))
@@ -207,6 +221,42 @@ class TestKde:
         gen = KdeGenerator(bandwidth=0.1).fit(uniform_on([[0.0]]))
         xs = gen.sample(20000, seed=0)
         assert xs.std() == pytest.approx(0.1, abs=0.005)
+
+    @staticmethod
+    def weighted_train(d, seed):
+        rng = np.random.default_rng(seed)
+        pts = rng.normal(0.0, 2.0, (40, d))
+        return DiscreteDistribution(pts, rng.dirichlet(np.ones(len(pts))))
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("bandwidth", [0.1, 0.3, 1.7])
+    def test_sample_bit_identical_to_previous_formula(self, bandwidth, d):
+        train = self.weighted_train(d, seed=d)
+        xs = KdeGenerator(bandwidth).fit(train).sample(500, seed=7)
+        # the sampler before KDE went through AnalyticDensity
+        rng = np.random.default_rng(7)
+        idx = rng.choice(train.size, size=500, p=train.mass)
+        noise = rng.standard_normal((500, d))
+        assert np.array_equal(xs, train.support[idx] + bandwidth * noise)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("bandwidth", [0.1, 0.3, 1.7])
+    def test_pdf_matches_previous_formula(self, bandwidth, d):
+        train = self.weighted_train(d, seed=10 + d)
+        gen = KdeGenerator(bandwidth).fit(train)
+        x = np.random.default_rng(d).normal(0.0, 3.0, (300, d))
+        # the pdf before KDE went through AnalyticDensity
+        lognorm = d * (0.5 * math.log(2.0 * math.pi) + math.log(bandwidth))
+        z2 = sqdist(x, train.support) / (2.0 * bandwidth**2)
+        expected = np.exp(-z2 - lognorm) @ train.mass
+        np.testing.assert_allclose(gen.pdf(x), expected, rtol=1e-12, atol=0)
+        assert KdeGenerator(bandwidth).to_config() == {"kind": "kde", "bandwidth": bandwidth}
+        assert gen.to_config() == {
+            "kind": "kde",
+            "bandwidth": bandwidth,
+            "centers": train.support.tolist(),
+            "center_mass": train.mass.tolist(),
+        }
 
 
 class TestFixedFamily:

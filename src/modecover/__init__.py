@@ -18,7 +18,6 @@ from .boost import (
 from .bounds import (
     BetaEstimate,
     CoverageReport,
-    TheoryParams,
     WorstSubset,
     best_cover_threshold,
     coverage_guarantee,
@@ -43,7 +42,6 @@ from .core import (
     ContractViolation,
     DiscreteDistribution,
     GridSpec,
-    UnsupportedOperation,
     WeightedDataset,
     bounding_grid,
     double_weights,
@@ -55,12 +53,9 @@ from .core import (
     uniform_on,
 )
 from .discriminator import (
-    DiagnosticsAccumulator,
     Discriminator,
-    DiscriminatorDiagnostics,
     DiscriminatorSpec,
     ExactDiscriminator,
-    diagnostics,
     empirical_cover_test,
     exact_discriminator,
     ratio_estimate,

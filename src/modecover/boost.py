@@ -30,12 +30,7 @@ from .core import (
     normalize,
     uniform_on,
 )
-from .discriminator import (
-    DiagnosticsAccumulator,
-    DiscriminatorSpec,
-    empirical_cover_test,
-    train_discriminator,
-)
+from .discriminator import DiscriminatorSpec, empirical_cover_test, train_discriminator
 from .divergences import tv_discrete
 from .generators import AdversarialCoverageGenerator, HistogramGenerator, WeakGenerator
 
@@ -249,12 +244,24 @@ def _measured_tv(gen: WeakGenerator, p_hat: DiscreteDistribution) -> float:
 def run_empirical(points, cfg: BoostConfig, exact_target_pdf=None, discriminator_factory=None):
     """Boosting on raw samples with discriminator-estimated density ratios.
 
-    When `exact_target_pdf` is given, the per-round discriminator
-    diagnostics are measured against the exact doubling test and reported
-    in the trace. `discriminator_factory` replaces classifier training, e.g.
-    with an ideal-response stub; it is called as factory(p_hat,
-    fitted_generator, pos, neg, seed) and must return an object with a
-    ``predict(points)`` method.
+    When `exact_target_pdf` (a callable over points, or its values at the
+    samples) is given, every round also measures the classifier against the
+    exact test, under which a sample is covered when the generator's density
+    there is at least delta times the target's, and writes to the trace:
+
+    - epsilon_prime: the round mass of the samples the exact test covers
+      that the classifier still doubles;
+    - lambda_min: over samples, the smallest ratio (capped at 1) of the
+      rounds so far in which the exact test covered a sample to the rounds
+      that kept its weight; a sample doubled in every round counts as 1.
+
+    `bounds.noisy_coverage_guarantee` turns the largest epsilon_prime and
+    the last lambda_min into a coverage factor.
+
+    `discriminator_factory` replaces classifier training, e.g. with an
+    ideal-response stub; it is called as factory(p_hat, fitted_generator,
+    pos, neg, seed) and must return an object with a ``predict(points)``
+    method.
     """
     ws = init_weights_empirical(points)
     n = ws.size
@@ -266,15 +273,16 @@ def run_empirical(points, cfg: BoostConfig, exact_target_pdf=None, discriminator
             pos, neg, disc_spec, seed
         )
     n_disc = cfg.disc_sample_size or n
-    diag = None
     if exact_target_pdf is not None:
-        diag = DiagnosticsAccumulator(n, cfg.delta)
         p_vals = np.asarray(
             exact_target_pdf(ws.points)
             if callable(exact_target_pdf)
             else exact_target_pdf,
             dtype=float,
         )
+        # per sample: rounds that kept its weight, rounds the exact test covered it
+        kept = np.zeros(n, dtype=int)
+        truly_covered = np.zeros(n, dtype=int)
 
     def step(t, ws, p_hat):
         try:
@@ -294,12 +302,15 @@ def run_empirical(points, cfg: BoostConfig, exact_target_pdf=None, discriminator
             raise BoostRunError(t, f"discriminator training failed: {exc}") from exc
         flags = empirical_cover_test(disc, ws, cfg.delta)
         extra = {"tv_gen_vs_pt": _measured_tv(gen, p_hat)}
-        if diag is not None:
-            g_vals = np.asarray(gen.pdf(ws.points), dtype=float)
-            extra["epsilon_prime"] = diag.add_round(
-                g_vals, p_vals, ws.relative_weights(), flags
+        if exact_target_pdf is not None:
+            covered = gen.pdf(ws.points) >= cfg.delta * p_vals
+            np.add(kept, ~flags, out=kept)
+            np.add(truly_covered, covered, out=truly_covered)
+            extra["epsilon_prime"] = float(ws.relative_weights()[covered & flags].sum())
+            lam = np.where(
+                kept > 0, np.minimum(1.0, truly_covered / np.maximum(kept, 1)), 1.0
             )
-            extra["lambda_min"] = diag.finalize().lambda_min
+            extra["lambda_min"] = float(lam.min())
         return gen, flags, extra
 
     return _run(ws, cfg, step)

@@ -21,32 +21,6 @@ from .generators import KdeGenerator
 LN2 = math.log(2.0)
 
 
-@dataclass(frozen=True)
-class TheoryParams:
-    """Scalar knobs of the coverage bounds.
-
-    delta: covering threshold; gamma: per-round TV budget of the weak
-    generator; eta: subset-mass exponent; eps_prime: mass of covered points a
-    noisy classifier still doubles; lam: fraction of kept rounds that truly
-    cover; delta_prime: the weaker threshold those rounds certify.
-    """
-
-    delta: float
-    gamma: float = 0.0
-    eta: float = 0.0
-    eps_prime: float = 0.0
-    lam: float = 1.0
-    delta_prime: float | None = None
-
-    def __post_init__(self):
-        for name in ("delta", "gamma", "eta", "eps_prime", "lam"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ContractViolation(f"{name}={v} outside [0, 1]")
-        if self.delta_prime is None:
-            object.__setattr__(self, "delta_prime", self.delta)
-
-
 def is_delta_covered(g_val: float, p_val: float, delta: float) -> bool:
     """Point-level coverage test: generated density at least delta times target."""
     if g_val < 0 or p_val < 0:
@@ -79,11 +53,31 @@ def coverage_guarantee(delta: float, gamma: float, eta: float) -> float:
     return mixture_cover_bound(delta, gamma + 2.0 * delta, eta)
 
 
-def noisy_coverage_guarantee(p: TheoryParams) -> float:
+def noisy_coverage_guarantee(
+    delta: float,
+    gamma: float = 0.0,
+    eta: float = 0.0,
+    eps_prime: float = 0.0,
+    lam: float = 1.0,
+    delta_prime: float | None = None,
+) -> float:
     """Coverage factor when the doubling decisions come from an imperfect
-    probabilistic classifier instead of exact densities."""
-    eps = p.gamma + 2.0 * p.delta + p.eps_prime
-    return mixture_cover_bound(p.delta_prime, eps, p.eta) * p.lam
+    probabilistic classifier instead of exact densities.
+
+    delta: covering threshold; gamma: per-round TV budget of the weak
+    generator; eta: subset-mass exponent; eps_prime: mass of covered points
+    the classifier still doubles; lam: fraction of kept rounds that truly
+    cover; delta_prime: the weaker threshold those rounds certify (default
+    delta). The first five must lie in [0, 1].
+    """
+    inputs = {"delta": delta, "gamma": gamma, "eta": eta, "eps_prime": eps_prime, "lam": lam}
+    for name, v in inputs.items():
+        if not 0.0 <= v <= 1.0:
+            raise ContractViolation(f"{name}={v} outside [0, 1]")
+    if delta_prime is None:
+        delta_prime = delta
+    eps = gamma + 2.0 * delta + eps_prime
+    return mixture_cover_bound(delta_prime, eps, eta) * lam
 
 
 def best_cover_threshold(gamma: float, eta: float):

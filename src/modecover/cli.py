@@ -35,7 +35,7 @@ from .boost import (
 from .bounds import coverage_guarantee, coverage_report, mode_coverage_count
 from .core import ConfigurationError, bounding_grid, load_points_csv, uniform_on
 from .discriminator import DiscriminatorSpec
-from .generators import generator_from_config
+from .generators import _integral, generator_from_config
 from .oracles import (
     check_mixture_cover_exhaustive,
     check_quarter_cover,
@@ -132,11 +132,13 @@ def cmd_boost(args) -> int:
         minority = np.flatnonzero(mode_ids == config["minority_mode_id"])
         if minority.size == 0:
             raise ConfigurationError("minority_mode_id matches no samples")
-    try:
-        cells = int(config["generator"].get("cells", 64))
-    except (TypeError, ValueError) as exc:
-        raise ConfigurationError(f"generator cells: {exc}") from exc
-    default_grid = bounding_grid(points, cells)
+    default_grid = None
+    if config["generator"]["kind"] == "histogram":
+        try:
+            cells = _integral(config["generator"].get("cells", 64))
+        except ValueError as exc:
+            raise ConfigurationError(f"generator cells: {exc}") from exc
+        default_grid = bounding_grid(points, cells)
     generator = generator_from_config(config["generator"], default_grid)
     disc_spec = (
         DiscriminatorSpec(**config["discriminator"])

@@ -31,10 +31,6 @@ class ContractViolation(ValueError):
     """Raised when a caller breaks a documented precondition."""
 
 
-class UnsupportedOperation(RuntimeError):
-    """Raised when an operation needs a capability the object does not have."""
-
-
 def as_points(points) -> np.ndarray:
     """Coerce input to a float (n, d) array of finite coordinates."""
     pts = np.asarray(points, dtype=float)
@@ -181,7 +177,6 @@ class WeightedDataset:
 
     points: np.ndarray  # (n, d)
     log2_weight: np.ndarray  # (n,)
-    round: int
     log2_total: float
 
     def __post_init__(self):
@@ -193,8 +188,6 @@ class WeightedDataset:
             raise ConfigurationError("log2_weight length must match points")
         if not np.all(np.isfinite(lw)):
             raise ConfigurationError("log2 weights must be finite")
-        if self.round < 1:
-            raise ConfigurationError("round starts at 1")
         if abs(self.log2_total - log2_weight_sum(lw)) > MASS_TOL:
             raise ConfigurationError("log2_total inconsistent with weights")
 
@@ -225,7 +218,7 @@ def init_weights_empirical(points) -> WeightedDataset:
     pts = as_points(points)
     n = pts.shape[0]
     lw = np.full(n, -np.log2(float(n)))
-    return WeightedDataset(pts, lw, round=1, log2_total=0.0)
+    return WeightedDataset(pts, lw, log2_total=0.0)
 
 
 def init_weights_exact(target: DiscreteDistribution) -> WeightedDataset:
@@ -235,7 +228,7 @@ def init_weights_exact(target: DiscreteDistribution) -> WeightedDataset:
             "exact weight init needs strictly positive masses"
         )
     lw = np.log2(target.mass)
-    return WeightedDataset(target.support, lw, round=1, log2_total=0.0)
+    return WeightedDataset(target.support, lw, log2_total=0.0)
 
 
 def normalize(ws: WeightedDataset) -> DiscreteDistribution:
@@ -245,16 +238,14 @@ def normalize(ws: WeightedDataset) -> DiscreteDistribution:
 
 
 def double_weights(ws: WeightedDataset, doubled) -> WeightedDataset:
-    """Double the weight of every flagged sample and advance the round."""
+    """Double the weight of every flagged sample."""
     flags = np.asarray(doubled, dtype=bool)
     if flags.shape != (ws.size,):
         raise ContractViolation(
             f"flag count {flags.shape} does not match {ws.size} samples"
         )
     lw = ws.log2_weight + flags
-    return WeightedDataset(
-        ws.points, lw, round=ws.round + 1, log2_total=log2_weight_sum(lw)
-    )
+    return WeightedDataset(ws.points, lw, log2_total=log2_weight_sum(lw))
 
 
 @dataclass(frozen=True)

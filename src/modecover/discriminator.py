@@ -1,6 +1,7 @@
 """Probabilistic classifier used to estimate the generated/target density
-ratio on each boosting round, plus quality diagnostics measured against
-exact densities when those are available.
+ratio on each boosting round, and the cover test built on it. How far its
+doubling decisions sit from the exact test is measured by
+`boost.run_empirical` when the exact target density is known.
 
 The classifier is a logistic model over either standardized affine features
 or radial basis functions at k-means centers of the pooled sample. Training
@@ -18,7 +19,6 @@ from .core import (
     _SQDIST_BLOCK_BYTES,
     ConfigurationError,
     ContractViolation,
-    UnsupportedOperation,
     WeightedDataset,
     as_points,
     row_groups,
@@ -205,73 +205,3 @@ def empirical_cover_test(disc, ws: WeightedDataset, delta: float) -> np.ndarray:
     rel = np.exp2(ws.log2_weight - ws.log2_total)
     return ratios * rel < delta / ws.size
 
-
-@dataclass(frozen=True)
-class DiscriminatorDiagnostics:
-    """How far the classifier's doubling decisions sit from the exact test.
-
-    epsilon_prime: the largest, over rounds, round-distribution mass of
-    points that were truly covered yet doubled. lambda_min: over points, the
-    smallest fraction of not-doubled rounds that truly covered the point at
-    the run's threshold delta.
-    """
-
-    epsilon_prime: float
-    lambda_min: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.epsilon_prime <= 1.0:
-            raise ContractViolation("epsilon_prime outside [0, 1]")
-        if not 0.0 <= self.lambda_min <= 1.0:
-            raise ContractViolation("lambda_min outside [0, 1]")
-
-
-class DiagnosticsAccumulator:
-    """Collects per-round exact-vs-classifier comparisons over a boosting run."""
-
-    def __init__(self, n_points: int, delta: float):
-        self.delta = delta
-        self.kept_rounds = np.zeros(n_points, dtype=int)
-        self.covered_rounds = np.zeros(n_points, dtype=int)
-        self.epsilon_primes: list[float] = []
-
-    def add_round(self, g_vals, p_vals, p_t_mass, flags) -> float:
-        """Record one round; returns that round's epsilon_prime."""
-        g = np.asarray(g_vals, dtype=float)
-        p = np.asarray(p_vals, dtype=float)
-        flags = np.asarray(flags, dtype=bool)
-        covered = g >= self.delta * p
-        eps = float(np.asarray(p_t_mass)[covered & flags].sum())
-        self.epsilon_primes.append(eps)
-        self.kept_rounds += ~flags
-        self.covered_rounds += covered
-        return eps
-
-    def finalize(self) -> DiscriminatorDiagnostics:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            lam = np.where(
-                self.kept_rounds > 0,
-                np.minimum(1.0, self.covered_rounds / np.maximum(self.kept_rounds, 1)),
-                1.0,
-            )
-        return DiscriminatorDiagnostics(
-            epsilon_prime=max(self.epsilon_primes) if self.epsilon_primes else 0.0,
-            lambda_min=float(lam.min()),
-        )
-
-
-def diagnostics(
-    disc, exact_g, exact_p, ws: WeightedDataset, delta: float
-) -> DiscriminatorDiagnostics:
-    """Single-round diagnostics of `disc` against exact densities.
-
-    exact_g / exact_p are callables over points (or precomputed arrays).
-    """
-    g = exact_g(ws.points) if callable(exact_g) else np.asarray(exact_g, dtype=float)
-    p = exact_p(ws.points) if callable(exact_p) else np.asarray(exact_p, dtype=float)
-    if g is None or p is None:
-        raise UnsupportedOperation("diagnostics need exact densities")
-    flags = empirical_cover_test(disc, ws, delta)
-    acc = DiagnosticsAccumulator(ws.size, delta)
-    acc.add_round(g, p, ws.relative_weights(), flags)
-    return acc.finalize()

@@ -396,15 +396,23 @@ def adversarial_make(base: DiscreteDistribution, gamma: float, region, seed=None
     if mask.all():
         raise ContractViolation("region must leave room to redistribute")
     inside = float(base.mass[mask].sum())
-    outside = 1.0 - inside
-    removed = min(gamma, inside)
-    if outside <= 0:
+    if inside >= 1.0:
         raise ContractViolation("no mass outside region to scale up")
-    mass = base.mass.copy()
-    mass[mask] *= 1.0 - removed / inside if inside > 0 else 0.0
-    mass[~mask] *= 1.0 + removed / outside
+    mass, removed = _remove_mass(base.mass, mask, inside, gamma)
     mass = mass / mass.sum()  # guard rounding drift
     return DiscreteDistribution(base.support, mass), removed
+
+
+def _remove_mass(mass: np.ndarray, mask: np.ndarray, inside: float, gamma: float):
+    """A copy of `mass` with min(gamma, inside) taken off the region `mask`,
+    which holds `inside`, and added to the complement, both in proportion
+    to the masses there; and the amount moved."""
+    removed = min(gamma, inside)
+    out = mass.copy()
+    if inside > 0:
+        out[mask] *= 1.0 - removed / inside
+    out[~mask] *= 1.0 + removed / (1.0 - inside)
+    return out, removed
 
 
 def greedy_uncover_region(
@@ -437,14 +445,18 @@ def greedy_uncover_region(
 def _beta_after_removal(base_mass, target_mass, region, gamma, delta) -> float:
     mask = np.zeros(len(base_mass), dtype=bool)
     mask[region] = True
-    inside = float(base_mass[mask].sum())
-    removed = min(gamma, inside)
-    g = base_mass.copy()
-    if inside > 0:
-        g[mask] *= 1.0 - removed / inside
-    g[~mask] *= 1.0 + removed / (1.0 - inside)
+    g, _ = _remove_mass(base_mass, mask, float(base_mass[mask].sum()), gamma)
     covered = g >= delta * target_mass
     return float(base_mass[covered].sum())
+
+
+def _is_index_list(victim) -> bool:
+    """True for a flat list of nonnegative integers (integral floats too)."""
+    idx = np.asarray(victim)
+    if idx.ndim != 1 or idx.dtype.kind not in "iuf":
+        return False
+    with np.errstate(invalid="ignore"):  # inf % 1 is nan: not integral
+        return bool(np.all((idx >= 0) & (idx % 1 == 0)))
 
 
 @dataclass(frozen=True)
@@ -471,11 +483,10 @@ class AdversarialCoverageGenerator(WeakGenerator):
         if isinstance(self.victim, str):
             if self.victim != "greedy":
                 raise ConfigurationError(f"unknown victim rule {self.victim!r}")
-        elif not callable(self.victim):
-            try:
-                np.asarray(self.victim, dtype=int)
-            except (TypeError, ValueError) as exc:
-                raise ConfigurationError(f"victim is not an index list: {exc}") from exc
+        elif not callable(self.victim) and not _is_index_list(self.victim):
+            raise ConfigurationError(
+                f"victim {self.victim!r} is not a list of nonnegative integer indices"
+            )
 
     def fit(self, train: DiscreteDistribution, seed=None) -> "AdversarialCoverageGenerator":
         target = self.target if self.target is not None else train
@@ -516,37 +527,61 @@ class AdversarialCoverageGenerator(WeakGenerator):
         return out
 
 
+def _integral(value) -> int:
+    """An integer hyperparameter: an int, or a float with no fractional part."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or value % 1:
+        raise ValueError(f"{value!r} is not an integer")  # nan % 1 and inf % 1 are nan
+    return int(value)
+
+
+def _real(value) -> float:
+    """A real hyperparameter: an int or a float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{value!r} is not a number")
+    return float(value)
+
+
+def _grid(spec: dict) -> GridSpec:
+    return GridSpec(np.asarray(spec["lo"]), np.asarray(spec["hi"]), _integral(spec["cells"]))
+
+
+def _family(candidates) -> tuple[AnalyticDensity, ...]:
+    return tuple(AnalyticDensity(c["weights"], c["means"], c["variances"]) for c in candidates)
+
+
+# kind -> (generator class, reader of each configuration key the kind takes).
+# A key left out keeps the dataclass default. A histogram's `cells` sizes the
+# default grid its caller builds, so here it is only checked.
+_CONFIG_KEYS = {
+    "histogram": (HistogramGenerator, {"alpha": _real, "grid": _grid, "cells": _integral}),
+    "gmm": (
+        GmmGenerator,
+        {"k": _integral, "max_iter": _integral, "var_floor": _real, "restarts": _integral},
+    ),
+    "kde": (KdeGenerator, {"bandwidth": _real}),
+    "fixed_family": (FixedFamilyGenerator, {"candidates": _family}),
+    "adversarial": (
+        AdversarialCoverageGenerator,
+        {"gamma": _real, "victim": lambda victim: victim, "delta": _real},
+    ),
+}
+
+
 def generator_from_config(config: dict, default_grid: GridSpec | None = None) -> WeakGenerator:
-    """Build an unfitted generator from the CLI's JSON configuration."""
+    """Build an unfitted generator from the CLI's JSON configuration; a
+    histogram without a `grid` gets `default_grid`."""
     kind = config.get("kind")
+    if kind not in _CONFIG_KEYS:
+        raise ConfigurationError(f"unknown generator kind {kind!r}")
+    cls, readers = _CONFIG_KEYS[kind]
+    unknown = sorted(set(config) - set(readers) - {"kind"})
+    if unknown:
+        raise ConfigurationError(f"generator {kind!r} takes no {', '.join(unknown)}")
     try:
+        kwargs = {key: read(config[key]) for key, read in readers.items() if key in config}
         if kind == "histogram":
-            grid = default_grid
-            if "grid" in config:
-                g = config["grid"]
-                grid = GridSpec(np.asarray(g["lo"]), np.asarray(g["hi"]), int(g["cells"]))
-            return HistogramGenerator(grid=grid, alpha=config.get("alpha", 1e-9))
-        if kind == "gmm":
-            return GmmGenerator(
-                k=int(config.get("k", 4)),
-                max_iter=int(config.get("max_iter", 100)),
-                var_floor=float(config.get("var_floor", 1e-6)),
-                restarts=int(config.get("restarts", 3)),
-            )
-        if kind == "kde":
-            return KdeGenerator(bandwidth=float(config.get("bandwidth", 0.1)))
-        if kind == "fixed_family":
-            cands = tuple(
-                AnalyticDensity(c["weights"], c["means"], c["variances"])
-                for c in config.get("candidates", [])
-            )
-            return FixedFamilyGenerator(candidates=cands)
-        if kind == "adversarial":
-            return AdversarialCoverageGenerator(
-                gamma=float(config.get("gamma", 0.1)),
-                victim=config.get("victim", "greedy"),
-                delta=float(config.get("delta", 0.25)),
-            )
+            kwargs.pop("cells", None)  # only checked
+            kwargs.setdefault("grid", default_grid)
+        return cls(**kwargs)
     except (TypeError, ValueError, KeyError) as exc:
         raise ConfigurationError(f"generator {kind!r} config: {exc}") from exc
-    raise ConfigurationError(f"unknown generator kind {kind!r}")

@@ -5,9 +5,11 @@ import pytest
 
 from modecover import (
     AdversarialCoverageGenerator,
+    AnalyticDensity,
     BoostConfig,
     BoostRunError,
     DiscreteDistribution,
+    FixedFamilyGenerator,
     GeneratorMixture,
     GmmGenerator,
     GridSpec,
@@ -220,6 +222,89 @@ class TestRunEmpirical:
         assert trace.rounds[0].epsilon_prime is not None
         assert 0.0 <= trace.rounds[0].epsilon_prime <= 1.0
         assert trace.rounds[0].lambda_min is not None
+
+    def test_diagnostics_match_accumulator_formula(self):
+        # reference: the per-round arithmetic of the former diagnostics
+        # accumulator, fed from the trace (the replayed weights are the loop's
+        # relative weights bit for bit) and the fitted generators
+        rng = np.random.default_rng(5)
+        points = rng.normal(0, 1, (300, 1))
+        # a target wider than the data, so the tails are covered in some rounds only
+        p_vals = AnalyticDensity([1.0], [[0.0]], [[2.0]]).pdf(points)
+        cfg = BoostConfig(
+            generator=KdeGenerator(bandwidth=0.3),
+            rounds=4,
+            delta=0.25,
+            seed=2,
+            disc_sample_size=300,
+        )
+        mixture, trace = run_empirical(points, cfg, exact_target_pdf=p_vals)
+        kept_rounds = np.zeros(len(points), dtype=int)
+        covered_rounds = np.zeros(len(points), dtype=int)
+        for t, rec in enumerate(trace.rounds, start=1):
+            g = np.asarray(mixture.generators[t - 1].pdf(points), dtype=float)
+            covered = g >= cfg.delta * p_vals
+            eps = float(reconstruct_round_masses(trace, t)[covered & rec.doubled].sum())
+            kept_rounds += ~rec.doubled
+            covered_rounds += covered
+            lam = np.where(
+                kept_rounds > 0,
+                np.minimum(1.0, covered_rounds / np.maximum(kept_rounds, 1)),
+                1.0,
+            )
+            assert rec.epsilon_prime == eps
+            assert rec.lambda_min == float(lam.min())
+        assert any(r.epsilon_prime > 0 for r in trace.rounds)
+        assert any(0 < r.lambda_min < 1 for r in trace.rounds)
+
+    def test_every_covered_sample_doubled_completes(self):
+        # the relative weights of 20 uniform samples sum to 1 + 1 ulp, and
+        # epsilon_prime reports that sum as measured
+        points = np.arange(20.0)[:, None]
+        cfg = BoostConfig(
+            generator=FixedFamilyGenerator(
+                candidates=(AnalyticDensity([1.0], [[0.0]], [[100.0]]),)
+            ),
+            rounds=2,
+            delta=0.25,
+        )
+        double_all = exact_discriminator(np.ones(20), np.zeros(20), points)
+        _, trace = run_empirical(
+            points,
+            cfg,
+            exact_target_pdf=np.full(20, 1e-9),
+            discriminator_factory=lambda *_: double_all,
+        )
+        for rec in trace.rounds:
+            assert rec.n_doubled == 20
+            assert rec.epsilon_prime == float(np.full(20, 1 / 20).sum()) > 1.0
+            assert rec.lambda_min == 1.0
+
+    def test_lambda_min_capped_at_one(self):
+        # each sample is doubled in one round and kept in the other while
+        # covered in both: 2 covered rounds over 1 kept, capped at 1
+        points = np.array([[0.0], [1.0]])
+        cfg = BoostConfig(
+            generator=FixedFamilyGenerator(
+                candidates=(AnalyticDensity([1.0], [[0.5]], [[100.0]]),)
+            ),
+            rounds=2,
+            delta=0.25,
+        )
+        discs = iter(
+            [
+                exact_discriminator([1.0, 0.0], [0.0, 1.0], points),
+                exact_discriminator([0.0, 1.0], [1.0, 0.0], points),
+            ]
+        )
+        _, trace = run_empirical(
+            points,
+            cfg,
+            exact_target_pdf=np.full(2, 1e-9),
+            discriminator_factory=lambda *_: next(discs),
+        )
+        assert [r.doubled.tolist() for r in trace.rounds] == [[True, False], [False, True]]
+        assert [r.lambda_min for r in trace.rounds] == [1.0, 1.0]
 
     def test_needs_two_points(self):
         cfg = BoostConfig(generator=KdeGenerator(), rounds=1, delta=0.25)

@@ -9,7 +9,6 @@ from modecover import (
     AnalyticDensity,
     ContractViolation,
     DiscreteDistribution,
-    TheoryParams,
     best_cover_threshold,
     coverage_guarantee,
     coverage_report,
@@ -97,18 +96,16 @@ class TestBoundFormulas:
             )
 
     def test_noisy_guarantee(self):
-        p = TheoryParams(delta=0.25, gamma=0.1, eta=0.01)
-        assert noisy_coverage_guarantee(p) == pytest.approx(
+        assert noisy_coverage_guarantee(delta=0.25, gamma=0.1, eta=0.01) == pytest.approx(
             coverage_guarantee(0.25, 0.1, 0.01), rel=1e-15
         )
-        p2 = TheoryParams(
+        noisy = noisy_coverage_guarantee(
             delta=0.25, gamma=0.1, eta=0.01, eps_prime=0.05, lam=0.9, delta_prime=0.2
         )
         expected = (1.0 - 0.65 / LN2 - 0.01) * 0.2 * 0.9
-        assert noisy_coverage_guarantee(p2) == pytest.approx(expected, rel=1e-15)
+        assert noisy == pytest.approx(expected, rel=1e-15)
         assert expected == pytest.approx(0.009405, abs=1e-5)
-        p3 = TheoryParams(delta=0.25, lam=0.0)
-        assert noisy_coverage_guarantee(p3) == 0.0
+        assert noisy_coverage_guarantee(delta=0.25, lam=0.0) == 0.0
 
     def test_composites_bit_identical_to_inline_formulas(self):
         # each composite is written through the lemma bounds; the float
@@ -117,12 +114,10 @@ class TestBoundFormulas:
         for _ in range(2000):
             d, g, e, ep, lam, dp = rng.random(6)
             assert coverage_guarantee(d, g, e) == (1.0 - (g + 2.0 * d) / LN2 - e) * d
-            p = TheoryParams(
+            noisy = noisy_coverage_guarantee(
                 delta=d, gamma=g, eta=e, eps_prime=ep, lam=lam, delta_prime=dp
             )
-            assert noisy_coverage_guarantee(p) == (
-                (1.0 - (g + 2.0 * d + ep) / LN2 - e) * dp * lam
-            )
+            assert noisy == (1.0 - (g + 2.0 * d + ep) / LN2 - e) * dp * lam
             assert minimax_cover_bound(d, g) == (1.0 - 2.0 * d - g) * d
 
     def test_best_threshold_values(self):
@@ -363,6 +358,6 @@ class TestKdeMeanLoglik:
 
 def test_theory_params_validation():
     with pytest.raises(ContractViolation):
-        TheoryParams(delta=1.5)
-    p = TheoryParams(delta=0.25)
-    assert p.delta_prime == 0.25
+        noisy_coverage_guarantee(delta=1.5)
+    # delta_prime defaults to delta
+    assert noisy_coverage_guarantee(delta=0.25) == mixture_cover_bound(0.25, 0.5, 0.0)

@@ -165,6 +165,12 @@ SMALL_SPIRAL = {"kind": "spiral", "seed": 3, "params": {"n": 200}}
         {"kind": "histogram", "cells": "x"},
         {"kind": "adversarial", "victim": {"a": 1}},
         {"kind": "adversarial", "victim": None},
+        {"kind": "gmm", "K": 12},
+        {"kind": "gmm", "k": 3.7},
+        {"kind": "kde", "bandwith": 0.3},
+        {"kind": "histogram", "cells": 8.9},
+        {"kind": "adversarial", "victim": [-1]},
+        {"kind": "adversarial", "victim": [1.7]},
     ],
     ids=[
         "negative_bandwidth",
@@ -178,6 +184,12 @@ SMALL_SPIRAL = {"kind": "spiral", "seed": 3, "params": {"n": 200}}
         "cells_not_int",
         "victim_mapping",
         "victim_null",
+        "gmm_unknown_key",
+        "gmm_k_fractional",
+        "kde_misspelled_key",
+        "cells_fractional",
+        "victim_negative",
+        "victim_fractional",
     ],
 )
 def test_malformed_generator_exits_one(tmp_path, capsys, generator):

@@ -64,7 +64,6 @@ class TestWeightInit:
         ws = init_weights_empirical(np.zeros((7, 1)) + np.arange(7)[:, None])
         assert np.all(np.exp2(ws.log2_weight) == 1 / 7)
         assert ws.log2_total == 0.0
-        assert ws.round == 1
 
     def test_empirical_single_point(self):
         ws = init_weights_empirical([[3.0]])
@@ -112,7 +111,6 @@ class TestNormalizeAndDouble:
         p2 = normalize(ws2)
         assert p2.mass[0] == 5 / 9
         assert p2.mass[1] == 4 / 9
-        assert ws2.round == 2
 
     def test_normalize_uniform(self):
         ws = init_weights_empirical(np.arange(6.0)[:, None])
@@ -130,7 +128,6 @@ class TestNormalizeAndDouble:
         ws = init_weights_empirical(np.arange(5.0)[:, None])
         ws2 = double_weights(ws, np.zeros(5, dtype=bool))
         assert np.array_equal(ws2.log2_weight, ws.log2_weight)
-        assert ws2.round == ws.round + 1
         assert ws2.log2_total == pytest.approx(ws.log2_total, abs=1e-12)
 
     def test_double_all_flags_cancels_in_normalize(self):
@@ -166,7 +163,7 @@ class TestNormalizeAndDouble:
         lw = ws.log2_weight + np.asarray(dbl_counts, dtype=float)
         from modecover.core import WeightedDataset, log2_weight_sum
 
-        ws = WeightedDataset(ws.points, lw, round=201, log2_total=log2_weight_sum(lw))
+        ws = WeightedDataset(ws.points, lw, log2_total=log2_weight_sum(lw))
         assert normalize(ws).mass.sum() == pytest.approx(1.0, abs=1e-9)
 
     @settings(max_examples=60, deadline=None)
@@ -186,7 +183,7 @@ class TestNormalizeAndDouble:
 
         lw = np.log2(raw)
         ws = WeightedDataset(
-            np.arange(float(n))[:, None], lw, round=1, log2_total=log2_weight_sum(lw)
+            np.arange(float(n))[:, None], lw, log2_total=log2_weight_sum(lw)
         )
         doubled = normalize(double_weights(ws, flags)).mass
         linear = raw * np.where(flags, 2.0, 1.0)
@@ -376,7 +373,7 @@ class TestRowGroups:
         assert same_bits(uniform.mass, counts / len(pts))
 
         lw = np.random.default_rng(seed).uniform(-30.0, 30.0, len(pts))
-        ws = core.WeightedDataset(pts, lw, round=1, log2_total=core.log2_weight_sum(lw))
+        ws = core.WeightedDataset(pts, lw, log2_total=core.log2_weight_sum(lw))
         u = np.exp2(lw - lw.max())
         support, mass = unique_aggregate(pts, u / u.sum())
         dist = normalize(ws)

@@ -4,13 +4,16 @@ import numpy as np
 import pytest
 
 from modecover import (
+    AnalyticDensity,
+    BoostConfig,
     Discriminator,
     DiscriminatorSpec,
-    diagnostics,
+    FixedFamilyGenerator,
     empirical_cover_test,
     exact_discriminator,
     init_weights_empirical,
     ratio_estimate,
+    run_empirical,
     train_discriminator,
 )
 from modecover.core import _SQDIST_BLOCK_BYTES
@@ -167,30 +170,41 @@ class TestEmpiricalCoverTest:
         assert not flags.any()
 
 
+def one_round_record(points, candidate, disc, p_vals):
+    """The trace record of one `run_empirical` round whose classifier is
+    `disc`; a single-candidate family keeps g independent of the resample."""
+    cfg = BoostConfig(
+        generator=FixedFamilyGenerator(candidates=(candidate,)), rounds=1, delta=0.25
+    )
+    _, trace = run_empirical(
+        points, cfg, exact_target_pdf=p_vals, discriminator_factory=lambda *_: disc
+    )
+    return trace.rounds[0]
+
+
 class TestDiagnostics:
     def test_perfect_discriminator(self):
         points = np.array([[0.0]] * 5 + [[1.0]] * 2)
-        ws = init_weights_empirical(points)
         p_vals = np.array([5 / 7] * 5 + [2 / 7] * 2)
-        g_vals = np.array([1.0] * 5 + [0.0] * 2)
+        g = AnalyticDensity([1.0], [[0.0]], [[0.01]])  # covers 0, not 1
         disc = exact_discriminator([5 / 7, 2 / 7], [1.0, 0.0], [[0.0], [1.0]])
-        diag = diagnostics(disc, g_vals, p_vals, ws, delta=0.25)
-        assert diag.epsilon_prime == 0.0
-        assert diag.lambda_min == 1.0
+        rec = one_round_record(points, g, disc, p_vals)
+        assert rec.epsilon_prime == 0.0
+        assert rec.lambda_min == 1.0
 
     def test_flipped_flags_count_covered_mass(self):
         # four points, half covered; an inverted classifier doubles exactly
         # the covered ones, so epsilon_prime equals their round mass
         points = np.arange(4.0)[:, None]
-        ws = init_weights_empirical(points)
         p_vals = np.full(4, 0.25)
-        g_vals = np.array([0.25, 0.25, 0.0, 0.0])  # first two covered
+        g = AnalyticDensity([0.5, 0.5], [[0.0], [1.0]], [[0.01], [0.01]])  # covers 0, 1
         flipped = exact_discriminator(
             np.full(4, 0.25), np.array([0.0, 0.0, 1.0, 1.0]), points
         )
-        diag = diagnostics(flipped, g_vals, p_vals, ws, delta=0.25)
-        assert diag.epsilon_prime == pytest.approx(0.5)
-        assert diag.lambda_min == 0.0  # kept points are truly uncovered
+        rec = one_round_record(points, g, flipped, p_vals)
+        assert rec.doubled.tolist() == [True, True, False, False]
+        assert rec.epsilon_prime == pytest.approx(0.5)
+        assert rec.lambda_min == 0.0  # kept points are truly uncovered
 
     def test_algebraic_identity_with_uniform_target(self):
         # with uniform target mass the classifier test reduces to the exact

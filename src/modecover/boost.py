@@ -211,8 +211,16 @@ def run_exact(target: DiscreteDistribution, cfg: BoostConfig):
     shortfall below delta times the target mass.
     """
     gen_spec = cfg.generator
-    if isinstance(gen_spec, AdversarialCoverageGenerator) and gen_spec.target is None:
-        gen_spec = replace(gen_spec, target=target, delta=cfg.delta)
+    if isinstance(gen_spec, AdversarialCoverageGenerator):
+        victim = gen_spec.victim
+        if not (isinstance(victim, str) or callable(victim)):
+            top = max(victim, default=-1)
+            if top >= target.size:
+                raise ConfigurationError(
+                    f"victim index {top:g} is outside the {target.size} support points"
+                )
+        if gen_spec.target is None:
+            gen_spec = replace(gen_spec, target=target, delta=cfg.delta)
 
     def step(t, ws, p_t):
         try:

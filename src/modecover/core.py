@@ -22,6 +22,10 @@ MASS_TOL = 1e-9
 # also sets the row blocks of `Discriminator.features`
 _SQDIST_BLOCK_BYTES = 16 * 2**20
 
+# exp of any argument below about -745.13 rounds to 0.0; `exp_inplace`
+# writes -inf below this cut, whose exp is the same 0.0
+_EXP_ZERO_BELOW = -750.0
+
 
 class ConfigurationError(ValueError):
     """Raised when an input or hyperparameter cannot define a valid object."""
@@ -207,10 +211,22 @@ def log2_weight_sum(log2_weights: np.ndarray) -> float:
     return m + float(np.log2(np.sum(np.exp2(log2_weights - m))))
 
 
+def exp_inplace(a: np.ndarray) -> np.ndarray:
+    """``np.exp(a)``, written into `a` (a float array the caller owns) and
+    returned, bit for bit.
+
+    Arguments below -750 are set to -inf first. Both give 0.0, but on x86
+    `np.exp` leaves its vector fast path for an argument that underflows,
+    and -inf costs about a third as much.
+    """
+    np.copyto(a, -np.inf, where=a < _EXP_ZERO_BELOW)
+    return np.exp(a, out=a)
+
+
 def log_sum_exp(terms: np.ndarray) -> np.ndarray:
     """Row-wise log(sum(exp(terms))), shifted by each row's max."""
     m = terms.max(axis=1, keepdims=True)
-    return m[:, 0] + np.log(np.sum(np.exp(terms - m), axis=1))
+    return m[:, 0] + np.log(np.sum(exp_inplace(terms - m), axis=1))
 
 
 def init_weights_empirical(points) -> WeightedDataset:
@@ -290,7 +306,7 @@ class AnalyticDensity:
         """Density at one point (scalar out) or at (m, d) points ((m,) out)."""
         pts = np.asarray(x, dtype=float)
         z2, lognorm = self._exponents(pts)
-        out = np.exp(-0.5 * z2 - lognorm) @ self.weights
+        out = exp_inplace(-0.5 * z2 - lognorm) @ self.weights
         return float(out[0]) if pts.ndim <= 1 else out
 
     def log_components(self, x) -> np.ndarray:

@@ -7,6 +7,15 @@ The classifier is a logistic model over either standardized affine features
 or radial basis functions at k-means centers of the pooled sample. Training
 takes ridge-regularized Newton steps on the full batch, with backtracking
 on the penalized loss, so a fixed seed gives bit-identical weights.
+
+RBF feature values below 1e-154 are set to 0. Far from every center a
+feature underflows, and on x86 an `exp` that returns a subnormal, or a
+matrix product that reads one, runs many times slower than on normal
+doubles. With the floor no feature is subnormal and no product of two
+features is far below the normal range. Above the floor every value is
+unchanged. What the floor drops is far below the rounding error of any
+logit or Hessian entry of ordinary size, so trained weights and decisions
+are expected to stay the same, but that is measured, not guaranteed.
 """
 
 from __future__ import annotations
@@ -28,6 +37,11 @@ from .core import (
 from .generators import kmeans_pp_centers, lloyd_iterations
 
 _CENTER_SUBSAMPLE = 4096  # cap on the pooled points for k-means and the scale median
+# RBF feature values below this are written as 0. A product of two features
+# is then 0 or at least 1e-308, next to the smallest normal double (2.2e-308),
+# which keeps the Newton Hessian's products off the subnormal slow path
+_RBF_FLOOR = 1e-154
+_RBF_ARG_MIN = float(np.log(_RBF_FLOOR)) - 1.0  # exp of it is below the floor
 
 
 @dataclass(frozen=True)
@@ -63,7 +77,9 @@ class Discriminator:
 
         RBF features are written into it a row block at a time, in the row
         blocks `sqdist` uses, so the temporaries stay within a fixed block
-        at any n; the affine map needs none.
+        at any n; the affine map needs none. An RBF value below `_RBF_FLOOR`
+        is 0; its exponent is clamped first, so `exp` never makes a
+        subnormal.
         """
         pts = as_points(x)
         if self.spec.feature_map == "rbf":
@@ -71,10 +87,12 @@ class Discriminator:
             rows = max(1, _SQDIST_BLOCK_BYTES // (8 * self.centers.size))
             width = 2.0 * self.scale**2
             for i in range(0, len(pts), rows):
-                block = slice(i, i + rows)
-                # one expression, so numpy reuses the unnamed block temporary
-                # in place instead of holding it into the next block
-                np.exp(-sqdist(pts[block], self.centers) / width, out=phi[block, :-1])
+                out = phi[i : i + rows, :-1]
+                # x / -w is bitwise -(x / w); every step writes into phi
+                np.divide(sqdist(pts[i : i + rows], self.centers), -width, out=out)
+                np.maximum(out, _RBF_ARG_MIN, out=out)
+                np.exp(out, out=out)
+                np.copyto(out, 0.0, where=out < _RBF_FLOOR)
         else:
             phi = np.empty((len(pts), pts.shape[1] + 1))
             np.subtract(pts, self.mean, out=phi[:, :-1])

@@ -19,6 +19,7 @@ from .core import (
     DiscreteDistribution,
     GridSpec,
     as_points,
+    exp_inplace,
     log_sum_exp,
     row_lookup,
     sqdist,
@@ -253,7 +254,8 @@ class GmmGenerator(WeakGenerator):
                 len(path) > 2 and abs(path[-2] - path[-3]) < _EM_TOL * (1.0 + abs(path[-3]))
             ):
                 break
-            resp = np.exp(log_resp - norm[:, None])
+            log_resp -= norm[:, None]
+            resp = exp_inplace(log_resp)
             wr = resp * w[:, None]  # (n, k) posterior mass
             nk = wr.sum(axis=0)
             live = nk > 1e-12

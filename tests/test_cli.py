@@ -198,6 +198,22 @@ def test_malformed_generator_exits_one(tmp_path, capsys, generator):
     assert capsys.readouterr().err.startswith("configuration error:")
 
 
+@pytest.mark.parametrize("victim, code", [([5000], 1), ([3, 200], 1), ([199], 0)])
+def test_exact_victim_index_checked_against_support(tmp_path, capsys, victim, code):
+    cfg = write_config(
+        tmp_path,
+        dataset=SMALL_SPIRAL,
+        mode="exact",
+        boost={"rounds": 1, "delta": 0.25, "seed": 1},
+        generator={"kind": "adversarial", "victim": victim},
+    )
+    assert main(["boost", "--config", str(cfg)]) == code
+    if code:
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:")
+        assert f"victim index {victim[-1]} is outside the 200 support points" in err
+
+
 def test_edge_generator_values_still_run(tmp_path):
     cfg = write_config(
         tmp_path,

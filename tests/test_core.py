@@ -292,6 +292,27 @@ class TestSqdist:
         assert peak < full_tensor
 
 
+EXP_ARGS = st.one_of(
+    st.floats(min_value=-800.0, max_value=-700.0),  # underflow and subnormal band
+    st.sampled_from([-750.0, 0.0, -0.0, np.inf, -np.inf, np.nan]),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+
+
+class TestExpInplace:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(EXP_ARGS, min_size=1, max_size=64))
+    @example([-750.0, np.nextafter(-750.0, 0.0), np.nextafter(-750.0, -np.inf), -745.13, -745.14])
+    @example([np.nan, np.inf, -np.inf, 0.0, -0.0, -1e-320, 709.78, 709.79])
+    def test_bit_identical_to_exp_in_place(self, values):
+        a = np.array(values, dtype=float)
+        with np.errstate(over="ignore"):
+            want = np.exp(a)
+            got = core.exp_inplace(a)
+        assert got is a
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
 class TestRowLookup:
     SUPPORT = np.array([[0.0, 1.0], [2.0, 3.0], [0.0, 1.0], [-0.0, 5.0], [2.0, 3.0]])
     QUERIES = np.array([[0.0, 1.0], [2.0, 3.0], [-0.0, 1.0], [0.0, 5.0], [9.0, 9.0]])

@@ -17,6 +17,7 @@ from modecover import (
     train_discriminator,
 )
 from modecover.core import _SQDIST_BLOCK_BYTES
+from modecover.discriminator import _RBF_FLOOR
 
 AFFINE = DiscriminatorSpec(feature_map="affine")
 
@@ -88,6 +89,7 @@ class TestFeatures:
         if disc.spec.feature_map == "rbf":
             d2 = ((pts[:, None, :] - disc.centers[None, :, :]) ** 2).sum(axis=2)
             phi = np.exp(-d2 / (2.0 * disc.scale**2))
+            phi[phi < _RBF_FLOOR] = 0.0
         else:
             phi = (pts - disc.mean) / disc.std
         return np.concatenate([phi, np.ones((len(pts), 1))], axis=1)
@@ -105,6 +107,20 @@ class TestFeatures:
         assert np.array_equal(disc.features(pts), want)
         probs = np.clip(1.0 / (1.0 + np.exp(-(want @ disc.weights))), 1e-6, 1.0 - 1e-6)
         assert np.array_equal(disc.predict(pts), probs)
+
+    def test_no_subnormal_or_sub_floor_feature(self):
+        rng = np.random.default_rng(11)
+        pos = rng.normal(1.0, 2.0, (600, 2))
+        neg = rng.normal(-1.0, 2.0, (600, 2))
+        disc = train_discriminator(pos, neg, seed=4)
+        pts = rng.normal(0.0, 3.0, (20_500, 2))
+        d2 = ((pts[:, None, :] - disc.centers[None, :, :]) ** 2).sum(axis=2)
+        raw = np.exp(-d2 / (2.0 * disc.scale**2))
+        # the instance reaches the subnormal band and the band below the floor
+        assert np.any((raw > 0) & (raw < np.finfo(float).tiny))
+        assert np.any((raw >= np.finfo(float).tiny) & (raw < _RBF_FLOOR))
+        phi = disc.features(pts)
+        assert not np.any((phi > 0) & (phi < _RBF_FLOOR))
 
     def test_peak_memory_is_output_plus_one_block(self):
         rng = np.random.default_rng(12)

@@ -59,7 +59,6 @@ class BoostConfig:
     seed: int = 0
     discriminator: DiscriminatorSpec | None = None
     disc_sample_size: int | None = None
-    minority_indices: np.ndarray | None = None
 
     def __post_init__(self):
         if self.rounds < 1:
@@ -135,7 +134,6 @@ class RoundRecord:
     doubled: np.ndarray  # per-sample flags
     n_doubled: int
     tv_gen_vs_pt: float | None = None
-    minority_ratio: float | None = None
     epsilon_prime: float | None = None
     lambda_min: float | None = None
 
@@ -146,29 +144,25 @@ class RoundTrace:
     rounds: tuple[RoundRecord, ...]
     final_log2_total: float
 
-    def to_csv(self) -> str:
+    def to_csv(self, minority_ratio=None) -> str:
+        """The trace as CSV; `minority_ratio`, one value per round (e.g. from
+        `bounds.minority_weight_ratio`), fills that column, else it is empty."""
+        shares = [None] * len(self.rounds) if minority_ratio is None else minority_ratio
         buf = io.StringIO()
         buf.write(
             "round,log2_W,n_doubled,tv_gen_vs_pt,minority_ratio,"
             "epsilon_prime,lambda_min\n"
         )
-        for r in self.rounds:
-            optional = (r.tv_gen_vs_pt, r.minority_ratio, r.epsilon_prime, r.lambda_min)
+        for r, share in zip(self.rounds, shares, strict=True):
+            optional = (r.tv_gen_vs_pt, share, r.epsilon_prime, r.lambda_min)
             cells = [str(r.round), repr(r.log2_total), str(r.n_doubled)]
-            cells += ["" if v is None else repr(v) for v in optional]
+            cells += ["" if v is None else repr(float(v)) for v in optional]
             buf.write(",".join(cells) + "\n")
         return buf.getvalue()
 
     @property
     def max_tv(self) -> float:
         return max(r.tv_gen_vs_pt for r in self.rounds)
-
-
-def _minority_share(ws: WeightedDataset, indices) -> float | None:
-    if indices is None:
-        return None
-    rel = ws.relative_weights()
-    return float(rel[np.asarray(indices, dtype=int)].sum())
 
 
 def _run(ws: WeightedDataset, cfg: BoostConfig, step):
@@ -191,7 +185,6 @@ def _run(ws: WeightedDataset, cfg: BoostConfig, step):
                 log2_total=ws.log2_total,
                 doubled=flags,
                 n_doubled=int(flags.sum()),
-                minority_ratio=_minority_share(ws, cfg.minority_indices),
                 **extra,
             )
         )

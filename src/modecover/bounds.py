@@ -15,7 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ContractViolation, DiscreteDistribution, log_sum_exp, sqdist, uniform_on
+from .core import (
+    ContractViolation, DiscreteDistribution, log_sum_exp, relative_weights, sqdist, uniform_on
+)
 from .generators import KdeGenerator
 
 LN2 = math.log(2.0)
@@ -268,18 +270,16 @@ def mode_coverage_count(
 def minority_weight_ratio(trace, minority_indices) -> np.ndarray:
     """Per-round share of total weight held by the given sample indices.
 
-    Works off the trace's initial weights and per-round doubling flags, so it
-    can be evaluated after the fact for any subset.
+    Replays the loop's weights from the trace's initial weights and per-round
+    doubling flags, so it can be evaluated after the fact for any subset.
     """
     idx = np.asarray(minority_indices, dtype=int)
-    n = trace.init_log2_weights.shape[0]
-    if idx.size == 0 or np.any(idx < 0) or np.any(idx >= n):
+    lw = trace.init_log2_weights
+    if idx.size == 0 or np.any(idx < 0) or np.any(idx >= lw.shape[0]):
         raise ContractViolation("minority indices out of range")
-    lw = trace.init_log2_weights.copy()
     out = []
     for record in trace.rounds:
-        u = np.exp2(lw - lw.max())
-        out.append(float(u[idx].sum() / u.sum()))
+        out.append(relative_weights(lw)[idx].sum())
         lw = lw + record.doubled
     return np.asarray(out)
 

@@ -32,10 +32,10 @@ from .boost import (
     run_empirical,
     run_exact,
 )
-from .bounds import coverage_guarantee, coverage_report, mode_coverage_count
-from .core import ConfigurationError, bounding_grid, load_points_csv, uniform_on
+from .bounds import coverage_guarantee, coverage_report, minority_weight_ratio, mode_coverage_count
+from .core import ConfigurationError, load_points_csv, uniform_on
 from .discriminator import DiscriminatorSpec
-from .generators import _integral, generator_from_config
+from .generators import generator_from_config
 from .oracles import (
     check_mixture_cover_exhaustive,
     check_quarter_cover,
@@ -132,14 +132,7 @@ def cmd_boost(args) -> int:
         minority = np.flatnonzero(mode_ids == config["minority_mode_id"])
         if minority.size == 0:
             raise ConfigurationError("minority_mode_id matches no samples")
-    default_grid = None
-    if config["generator"]["kind"] == "histogram":
-        try:
-            cells = _integral(config["generator"].get("cells", 64))
-        except ValueError as exc:
-            raise ConfigurationError(f"generator cells: {exc}") from exc
-        default_grid = bounding_grid(points, cells)
-    generator = generator_from_config(config["generator"], default_grid)
+    generator = generator_from_config(config["generator"], points)
     disc_spec = (
         DiscriminatorSpec(**config["discriminator"])
         if "discriminator" in config
@@ -148,7 +141,6 @@ def cmd_boost(args) -> int:
     cfg = BoostConfig(
         generator=generator,
         discriminator=disc_spec,
-        minority_indices=minority,
         **boost_cfg,
     )
 
@@ -183,6 +175,7 @@ def cmd_boost(args) -> int:
         }
 
     gamma_max = trace.max_tv
+    minority_ratio = None if minority is None else minority_weight_ratio(trace, minority).tolist()
     guarantee_value = coverage_guarantee(cfg.delta, gamma_max, cfg.eta)
     summary = {
         "mode": config["mode"],
@@ -204,9 +197,7 @@ def cmd_boost(args) -> int:
             "vacuous": bool(guarantee_value <= 0),
         },
         "mode_coverage": mode_cov,
-        "minority_ratio": None
-        if minority is None
-        else [r.minority_ratio for r in trace.rounds],
+        "minority_ratio": minority_ratio,
     }
     validate_json(summary, "summary")
     mixture_doc = mixture.to_config()
@@ -215,7 +206,7 @@ def cmd_boost(args) -> int:
     report_doc["method"] = method
     validate_json(report_doc, "coverage_report")
     files = {
-        "trace.csv": trace.to_csv(),
+        "trace.csv": trace.to_csv(minority_ratio),
         "mixture.json": _dump_json(mixture_doc),
         "summary.json": _dump_json(summary),
         "coverage_report.json": _dump_json(report_doc),

@@ -200,9 +200,14 @@ class WeightedDataset:
         return self.points.shape[0]
 
     def relative_weights(self) -> np.ndarray:
-        """Per-sample w_i / W as plain floats (max-shifted, overflow safe)."""
-        u = np.exp2(self.log2_weight - self.log2_weight.max())
-        return u / u.sum()
+        """Per-sample w_i / W, see `relative_weights`."""
+        return relative_weights(self.log2_weight)
+
+
+def relative_weights(log2_weights: np.ndarray) -> np.ndarray:
+    """Per-sample w_i / W as plain floats (max-shifted, overflow safe)."""
+    u = np.exp2(log2_weights - log2_weights.max())
+    return u / u.sum()
 
 
 def log2_weight_sum(log2_weights: np.ndarray) -> float:

@@ -92,7 +92,8 @@ class Discriminator:
                 np.divide(sqdist(pts[i : i + rows], self.centers), -width, out=out)
                 np.maximum(out, _RBF_ARG_MIN, out=out)
                 np.exp(out, out=out)
-                np.copyto(out, 0.0, where=out < _RBF_FLOOR)
+                # positive values times a 0/1 mask: +0.0 below the floor, the rest kept
+                np.multiply(out, out >= _RBF_FLOOR, out=out)
         else:
             phi = np.empty((len(pts), pts.shape[1] + 1))
             np.subtract(pts, self.mean, out=phi[:, :-1])

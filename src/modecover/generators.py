@@ -19,6 +19,7 @@ from .core import (
     DiscreteDistribution,
     GridSpec,
     as_points,
+    bounding_grid,
     exp_inplace,
     log_sum_exp,
     row_lookup,
@@ -553,7 +554,7 @@ def _family(candidates) -> tuple[AnalyticDensity, ...]:
 
 # kind -> (generator class, reader of each configuration key the kind takes).
 # A key left out keeps the dataclass default. A histogram's `cells` sizes the
-# default grid its caller builds, so here it is only checked.
+# default grid, which spans the data, when no `grid` is given.
 _CONFIG_KEYS = {
     "histogram": (HistogramGenerator, {"alpha": _real, "grid": _grid, "cells": _integral}),
     "gmm": (
@@ -569,9 +570,11 @@ _CONFIG_KEYS = {
 }
 
 
-def generator_from_config(config: dict, default_grid: GridSpec | None = None) -> WeakGenerator:
-    """Build an unfitted generator from the CLI's JSON configuration; a
-    histogram without a `grid` gets `default_grid`."""
+def generator_from_config(config: dict, points) -> WeakGenerator:
+    """Build an unfitted generator for the (n, d) data `points` from the
+    CLI's JSON configuration; a histogram without a `grid` gets
+    `bounding_grid(points, cells)`. A histogram grid or a fixed-family
+    candidate of another dimension than the data's is a configuration error."""
     kind = config.get("kind")
     if kind not in _CONFIG_KEYS:
         raise ConfigurationError(f"unknown generator kind {kind!r}")
@@ -579,11 +582,18 @@ def generator_from_config(config: dict, default_grid: GridSpec | None = None) ->
     unknown = sorted(set(config) - set(readers) - {"kind"})
     if unknown:
         raise ConfigurationError(f"generator {kind!r} takes no {', '.join(unknown)}")
+    pts = as_points(points)
     try:
         kwargs = {key: read(config[key]) for key, read in readers.items() if key in config}
         if kind == "histogram":
-            kwargs.pop("cells", None)  # only checked
-            kwargs.setdefault("grid", default_grid)
+            cells = kwargs.pop("cells", 64)
+            if "grid" not in kwargs:
+                kwargs["grid"] = bounding_grid(pts, cells)
+            elif cells < 2:  # rejected whether or not it sizes the grid
+                raise ValueError("at least 2 cells per axis")
+        for part in [kwargs["grid"]] if kind == "histogram" else kwargs.get("candidates", ()):
+            if part.dim != pts.shape[1]:
+                raise ValueError(f"dimension {part.dim} is not the data's {pts.shape[1]}")
         return cls(**kwargs)
     except (TypeError, ValueError, KeyError) as exc:
         raise ConfigurationError(f"generator {kind!r} config: {exc}") from exc

@@ -19,7 +19,7 @@ import numpy as np
 
 from .boost import BoostConfig, mixture_support_masses, run_exact
 from .bounds import coverage_guarantee, single_round_cover_bound
-from .core import ContractViolation, DiscreteDistribution, log2_weight_sum
+from .core import ContractViolation, DiscreteDistribution, log2_weight_sum, relative_weights
 from .generators import AdversarialCoverageGenerator, adversarial_make, greedy_uncover_region
 
 SLACK = 1e-12
@@ -179,9 +179,7 @@ def check_weight_growth(
     def trial(rng):
         lw = np.log2(rng.dirichlet(np.ones(support_size)))
         for _ in range(rounds):
-            u = np.exp2(lw - lw.max())
-            p_t = u / u.sum()
-            flags = _greedy_mass_subset(p_t, eps)
+            flags = _greedy_mass_subset(relative_weights(lw), eps)
             lw = lw + flags  # the doubling `core.double_weights` applies
         log2_total = log2_weight_sum(lw)
         return cap_log2 - log2_total, lambda: {"log2_final": log2_total, "cap": cap_log2}

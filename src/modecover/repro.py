@@ -231,7 +231,6 @@ def sine_run(seed: int):
         rounds=20,
         delta=0.25,
         seed=seed,
-        minority_indices=minor_idx,
         disc_sample_size=8192,
     )
     mixture, trace = run_empirical(points, cfg)
@@ -255,6 +254,7 @@ def sine_run(seed: int):
     return {
         "mixture": mixture,
         "trace": trace,
+        "minority_ratios": minority_weight_ratio(trace, minor_idx),
         "minor_ratios": minor_ratios,
         "base_box_mass": base_box_mass,
         "data_box_share": data_box_share,
@@ -271,7 +271,7 @@ def recipe_sine(seed: int):
                max_=0.1 * run["data_box_share"]),
         _check("data_box_share", run["data_box_share"], min_=0.002),
     ]
-    files = {"trace.csv": run["trace"].to_csv()}
+    files = {"trace.csv": run["trace"].to_csv(run["minority_ratios"])}
     ratios_csv = io.StringIO()
     ratios_csv.write("minor_sample,bin_ratio\n")
     for i, v in enumerate(run["minor_ratios"]):
@@ -319,7 +319,6 @@ def grid_isolated_run(seed: int, n: int = 4420, rounds: int = 25):
         rounds=rounds,
         delta=0.25,
         seed=seed,
-        minority_indices=isolated_idx,
     )
     mixture, trace = run_exact(target, cfg)
     samples = mixture_sample(mixture, 20000, seed=seed)
@@ -360,7 +359,7 @@ def recipe_grid_isolated(seed: int):
     for i, v in enumerate(ratios, start=1):
         series.write(f"{i},{float(v)!r}\n")
     return checks, {
-        "trace.csv": run["trace"].to_csv(),
+        "trace.csv": run["trace"].to_csv(ratios),
         "minority_ratio.csv": series.getvalue(),
     }
 

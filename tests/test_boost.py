@@ -409,13 +409,14 @@ class TestDeterminism:
 
 class TestTraceCsvFormat:
     def test_header_and_columns(self):
+        from modecover import minority_weight_ratio
+
         target = two_point_target()
         cfg = BoostConfig(
             generator=AdversarialCoverageGenerator(gamma=0.1, victim=[1]),
             rounds=2,
             delta=0.25,
             seed=0,
-            minority_indices=[1],
         )
         _, trace = run_exact(target, cfg)
         lines = trace.to_csv().splitlines()
@@ -425,12 +426,25 @@ class TestTraceCsvFormat:
         )
         first = lines[1].split(",")
         assert first[0] == "1" and len(first) == 7
+        assert first[4] == ""  # no minority column given
         assert first[5] == "" and first[6] == ""  # no diagnostics in exact mode
+
+        shares = minority_weight_ratio(trace, [1])
+        with_column = trace.to_csv(shares).splitlines()
+        assert with_column[0] == lines[0]
+        assert len(with_column) == len(lines) == 3
+        for line, bare, share in zip(with_column[1:], lines[1:], shares):
+            cells, bare_cells = line.split(","), bare.split(",")
+            assert cells[4] == repr(float(share)) != ""
+            assert cells[:4] + cells[5:] == bare_cells[:4] + bare_cells[5:]
+        with pytest.raises(ValueError):
+            trace.to_csv(shares[:1])  # one value per round
 
 
 class TestTraceConsistency:
     def test_minority_column_matches_reconstruction(self):
         from modecover import minority_weight_ratio
+        from modecover.core import double_weights, init_weights_exact
 
         rng = np.random.default_rng(10)
         target = DiscreteDistribution(
@@ -441,12 +455,17 @@ class TestTraceConsistency:
             rounds=10,
             delta=0.25,
             seed=6,
-            minority_indices=[0, 3],
         )
         _, trace = run_exact(target, cfg)
         recomputed = minority_weight_ratio(trace, [0, 3])
-        recorded = [r.minority_ratio for r in trace.rounds]
-        assert np.allclose(recorded, recomputed, rtol=1e-12)
+        # the share the loop's own weights give, before each round's doubling
+        ws = init_weights_exact(target)
+        replayed = []
+        for rec in trace.rounds:
+            replayed.append(float(ws.relative_weights()[np.asarray([0, 3])].sum()))
+            ws = double_weights(ws, rec.doubled)
+        assert len(set(replayed)) > 1  # the share moves, so the replay is tested
+        assert recomputed.tolist() == replayed
 
     def test_total_weight_never_decreases(self):
         rng = np.random.default_rng(11)

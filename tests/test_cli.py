@@ -9,7 +9,6 @@ from modecover import (
     ConfigurationError,
     DiscriminatorSpec,
     KdeGenerator,
-    bounding_grid,
     generator_from_config,
 )
 from modecover.cli import _build_dataset, _load_run_config, main, validate_json
@@ -171,6 +170,11 @@ SMALL_SPIRAL = {"kind": "spiral", "seed": 3, "params": {"n": 200}}
         {"kind": "histogram", "cells": 8.9},
         {"kind": "adversarial", "victim": [-1]},
         {"kind": "adversarial", "victim": [1.7]},
+        {"kind": "histogram", "grid": {"lo": [0], "hi": [1], "cells": 8}},
+        {
+            "kind": "fixed_family",
+            "candidates": [{"weights": [1.0], "means": [[0.0]], "variances": [[1.0]]}],
+        },
     ],
     ids=[
         "negative_bandwidth",
@@ -190,6 +194,8 @@ SMALL_SPIRAL = {"kind": "spiral", "seed": 3, "params": {"n": 200}}
         "cells_fractional",
         "victim_negative",
         "victim_fractional",
+        "grid_wrong_dim",
+        "family_wrong_dim",
     ],
 )
 def test_malformed_generator_exits_one(tmp_path, capsys, generator):
@@ -231,8 +237,7 @@ def test_example_config_builds(path):
     # every shipped example passes the schema and the constructors' checks
     config = _load_run_config(str(path))
     data = _build_dataset(config["dataset"])
-    grid = bounding_grid(data.points, int(config["generator"].get("cells", 64)))
-    generator = generator_from_config(config["generator"], grid)
+    generator = generator_from_config(config["generator"], data.points)
     if "discriminator" in config:
         DiscriminatorSpec(**config["discriminator"])
     BoostConfig(generator=generator, **config["boost"])
@@ -326,6 +331,19 @@ def test_grid_isolated_recipe_via_cli(tmp_path):
     assert values["pass"] is True
     assert (out / "minority_ratio.csv").exists()
     assert (out / "trace.csv").exists()
+
+
+def test_grid_isolated_writes_one_minority_series(tmp_path):
+    # trace.csv and minority_ratio.csv carry the same per-round share, bit for bit
+    out = tmp_path / "gi"
+    assert main(["repro", "grid-isolated", "--out", str(out)]) == 0
+    trace_rows = (out / "trace.csv").read_text().splitlines()
+    series_rows = (out / "minority_ratio.csv").read_text().splitlines()
+    assert trace_rows[0].split(",")[4] == series_rows[0].split(",")[1] == "minority_ratio"
+    from_trace = [row.split(",")[4] for row in trace_rows[1:]]
+    from_series = [row.split(",")[1] for row in series_rows[1:]]
+    assert len(from_trace) == 25 and "" not in from_trace
+    assert from_trace == from_series
 
 
 def test_verify_threads_flag_rejected():

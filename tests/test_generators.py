@@ -401,14 +401,14 @@ class TestSupportMassNormalization:
 
 
 def test_generator_from_config_round_trip():
-    grid = GridSpec([0.0], [1.0], 8)
-    gen = generator_from_config({"kind": "histogram", "alpha": 0.5}, grid)
+    points = np.linspace(0.0, 1.0, 9)[:, None]
+    gen = generator_from_config({"kind": "histogram", "alpha": 0.5}, points)
     assert isinstance(gen, HistogramGenerator) and gen.alpha == 0.5
-    gen = generator_from_config({"kind": "gmm", "k": 3}, None)
+    gen = generator_from_config({"kind": "gmm", "k": 3}, points)
     assert isinstance(gen, GmmGenerator) and gen.k == 3
-    gen = generator_from_config({"kind": "kde", "bandwidth": 0.2}, None)
+    gen = generator_from_config({"kind": "kde", "bandwidth": 0.2}, points)
     assert isinstance(gen, KdeGenerator)
-    gen = generator_from_config({"kind": "adversarial", "gamma": 0.2}, None)
+    gen = generator_from_config({"kind": "adversarial", "gamma": 0.2}, points)
     assert isinstance(gen, AdversarialCoverageGenerator)
     with pytest.raises(Exception):
-        generator_from_config({"kind": "nope"}, None)
+        generator_from_config({"kind": "nope"}, points)

@@ -42,7 +42,6 @@ from .core import (
     ContractViolation,
     DiscreteDistribution,
     GridSpec,
-    WeightedDataset,
     bounding_grid,
     double_weights,
     init_weights_empirical,

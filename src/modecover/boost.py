@@ -15,6 +15,7 @@ for rounds 1..t are unchanged by raising T.
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -23,11 +24,13 @@ from .core import (
     ConfigurationError,
     ContractViolation,
     DiscreteDistribution,
-    WeightedDataset,
+    as_points,
     double_weights,
     init_weights_empirical,
     init_weights_exact,
+    log2_weight_sum,
     normalize,
+    relative_weights,
     uniform_on,
 )
 from .discriminator import DiscriminatorSpec, empirical_cover_test, train_discriminator
@@ -165,35 +168,46 @@ class RoundTrace:
         return max(r.tv_gen_vs_pt for r in self.rounds)
 
 
-def _run(ws: WeightedDataset, cfg: BoostConfig, step):
+def _run(points: np.ndarray, lw: np.ndarray, cfg: BoostConfig, step):
     """The multiplicative-weights loop both modes share.
 
+    The weight state is `lw`, the samples' log2 weights beside the fixed
+    `points`; both inits give a total weight of exactly 1, so log2 W_1 = 0.
     Each round normalizes the weights into the round distribution p_t, calls
-    ``step(t, ws, p_t)`` for the fitted generator, the per-sample doubling
+    ``step(t, lw, p_t)`` for the fitted generator, the per-sample doubling
     flags and any extra RoundRecord fields, records the round, and doubles
-    the flagged weights.
+    the flagged weights. A new total more than 1e-9 off the invariant
+    log2 W_{t+1} = log2 W_t + log2(1 + eps_t), with eps_t = P_t(doubled),
+    raises.
     """
-    init_log2_weights = ws.log2_weight
+    init_log2_weights = lw
+    log2_total = 0.0
     generators = []
     records = []
     for t in range(1, cfg.rounds + 1):
-        p_t = normalize(ws)
-        gen, flags, extra = step(t, ws, p_t)
+        p_t = normalize(points, lw)
+        gen, flags, extra = step(t, lw, p_t)
         records.append(
             RoundRecord(
                 round=t,
-                log2_total=ws.log2_total,
+                log2_total=log2_total,
                 doubled=flags,
                 n_doubled=int(flags.sum()),
                 **extra,
             )
         )
         generators.append(gen)
-        ws = double_weights(ws, flags)
+        eps_t = relative_weights(lw)[flags].sum()
+        lw = double_weights(lw, flags)
+        next_total = log2_weight_sum(lw)
+        drift = next_total - log2_total - math.log2(1.0 + eps_t)
+        if not abs(drift) <= 1e-9:
+            raise BoostRunError(t, f"log2 W_t+1 - log2 W_t - log2(1 + eps_t) = {drift!r}")
+        log2_total = next_total
     trace = RoundTrace(
         init_log2_weights=init_log2_weights,
         rounds=tuple(records),
-        final_log2_total=ws.log2_total,
+        final_log2_total=log2_total,
     )
     return GeneratorMixture(tuple(generators)), trace
 
@@ -215,7 +229,7 @@ def run_exact(target: DiscreteDistribution, cfg: BoostConfig):
         if gen_spec.target is None:
             gen_spec = replace(gen_spec, target=target, delta=cfg.delta)
 
-    def step(t, ws, p_t):
+    def step(t, lw, p_t):
         try:
             gen = gen_spec.fit(p_t, round_rng_seed(cfg.seed, t, "fit"))
             g_mass = gen.support_masses(target.support)
@@ -225,7 +239,7 @@ def run_exact(target: DiscreteDistribution, cfg: BoostConfig):
         tv = tv_discrete(DiscreteDistribution(target.support, g_mass), p_t)
         return gen, flags, {"tv_gen_vs_pt": tv}
 
-    return _run(init_weights_exact(target), cfg, step)
+    return _run(target.support, init_weights_exact(target), cfg, step)
 
 
 def _measured_tv(gen: WeakGenerator, p_hat: DiscreteDistribution) -> float:
@@ -264,8 +278,8 @@ def run_empirical(points, cfg: BoostConfig, exact_target_pdf=None, discriminator
     pos, neg, seed) and must return an object with a ``predict(points)``
     method.
     """
-    ws = init_weights_empirical(points)
-    n = ws.size
+    pts = as_points(points)
+    n = len(pts)
     if n < 2:
         raise ConfigurationError("need at least two samples")
     disc_spec = cfg.discriminator or DiscriminatorSpec()
@@ -276,7 +290,7 @@ def run_empirical(points, cfg: BoostConfig, exact_target_pdf=None, discriminator
     n_disc = cfg.disc_sample_size or n
     if exact_target_pdf is not None:
         p_vals = np.asarray(
-            exact_target_pdf(ws.points)
+            exact_target_pdf(pts)
             if callable(exact_target_pdf)
             else exact_target_pdf,
             dtype=float,
@@ -285,7 +299,7 @@ def run_empirical(points, cfg: BoostConfig, exact_target_pdf=None, discriminator
         kept = np.zeros(n, dtype=int)
         truly_covered = np.zeros(n, dtype=int)
 
-    def step(t, ws, p_hat):
+    def step(t, lw, p_hat):
         try:
             train_pts = p_hat.sample(n, round_rng_seed(cfg.seed, t, "resample"))
             gen = cfg.generator.fit(
@@ -301,17 +315,17 @@ def run_empirical(points, cfg: BoostConfig, exact_target_pdf=None, discriminator
             )
         except Exception as exc:  # noqa: BLE001
             raise BoostRunError(t, f"discriminator training failed: {exc}") from exc
-        flags = empirical_cover_test(disc, ws, cfg.delta)
+        flags = empirical_cover_test(disc, pts, lw, cfg.delta)
         extra = {"tv_gen_vs_pt": _measured_tv(gen, p_hat)}
         if exact_target_pdf is not None:
-            covered = gen.pdf(ws.points) >= cfg.delta * p_vals
+            covered = gen.pdf(pts) >= cfg.delta * p_vals
             np.add(kept, ~flags, out=kept)
             np.add(truly_covered, covered, out=truly_covered)
-            extra["epsilon_prime"] = float(ws.relative_weights()[covered & flags].sum())
+            extra["epsilon_prime"] = float(relative_weights(lw)[covered & flags].sum())
             lam = np.where(
                 kept > 0, np.minimum(1.0, truly_covered / np.maximum(kept, 1)), 1.0
             )
             extra["lambda_min"] = float(lam.min())
         return gen, flags, extra
 
-    return _run(ws, cfg, step)
+    return _run(pts, init_weights_empirical(pts), cfg, step)

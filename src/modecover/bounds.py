@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    ContractViolation, DiscreteDistribution, log_sum_exp, relative_weights, sqdist, uniform_on
+    ContractViolation, DiscreteDistribution, double_weights, log_sum_exp, relative_weights,
+    sqdist, uniform_on,
 )
 from .generators import KdeGenerator
 
@@ -280,7 +281,7 @@ def minority_weight_ratio(trace, minority_indices) -> np.ndarray:
     out = []
     for record in trace.rounds:
         out.append(relative_weights(lw)[idx].sum())
-        lw = lw + record.doubled
+        lw = double_weights(lw, record.doubled)
     return np.asarray(out)
 
 

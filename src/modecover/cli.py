@@ -144,8 +144,8 @@ def cmd_boost(args) -> int:
         **boost_cfg,
     )
 
+    target = uniform_on(points)
     if config["mode"] == "exact":
-        target = uniform_on(points)
         if target.size != len(points):
             raise ConfigurationError(
                 "exact mode needs distinct points (duplicates were aggregated)"
@@ -154,7 +154,6 @@ def cmd_boost(args) -> int:
         method = "exact_support"
     else:
         mixture, trace = run_empirical(points, cfg)
-        target = uniform_on(points)
         method = "support_renormalized"
     report = coverage_report(mixture_support_masses(mixture, target.support), target)
 

@@ -1,10 +1,13 @@
 """Core data model: points, finite distributions, Gaussian mixtures, and the
 multiplicative weight state.
 
-Weights are kept in log base 2 so that a point doubled in every one of T
-rounds stays representable (its raw weight grows like 2^T). Doubling is then
-an exact ``+1.0`` on the stored exponent, and all normalizations go through a
-max-shifted sum, which keeps small worked examples bit-exact.
+The weight state is a plain (n,) array of per-sample log2 weights beside
+the fixed (n, d) points; duplicate points are distinct samples (multiset
+semantics). Log2 keeps a point doubled in every one of T rounds
+representable (its raw weight grows like 2^T). `double_weights` is the one
+doubling, an exact ``+1.0`` on the flagged exponents, and
+`relative_weights` the one normalization, a max-shifted sum that keeps
+small worked examples bit-exact.
 """
 
 from __future__ import annotations
@@ -14,7 +17,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.special import ndtr
 
 MASS_TOL = 1e-9
 
@@ -171,41 +173,9 @@ def _aggregate(points: np.ndarray, values: np.ndarray):
     return points[first[order]], np.bincount(inverse, weights=values)[order]
 
 
-@dataclass(frozen=True)
-class WeightedDataset:
-    """Per-sample multiplicative weights in log2, plus their log2 total.
-
-    Duplicate points are legitimate distinct samples (multiset semantics);
-    `normalize` aggregates them back into a distribution over distinct points.
-    """
-
-    points: np.ndarray  # (n, d)
-    log2_weight: np.ndarray  # (n,)
-    log2_total: float
-
-    def __post_init__(self):
-        points = as_points(self.points)
-        lw = np.asarray(self.log2_weight, dtype=float)
-        object.__setattr__(self, "points", points)
-        object.__setattr__(self, "log2_weight", lw)
-        if lw.shape != (points.shape[0],):
-            raise ConfigurationError("log2_weight length must match points")
-        if not np.all(np.isfinite(lw)):
-            raise ConfigurationError("log2 weights must be finite")
-        if abs(self.log2_total - log2_weight_sum(lw)) > MASS_TOL:
-            raise ConfigurationError("log2_total inconsistent with weights")
-
-    @property
-    def size(self) -> int:
-        return self.points.shape[0]
-
-    def relative_weights(self) -> np.ndarray:
-        """Per-sample w_i / W, see `relative_weights`."""
-        return relative_weights(self.log2_weight)
-
-
 def relative_weights(log2_weights: np.ndarray) -> np.ndarray:
-    """Per-sample w_i / W as plain floats (max-shifted, overflow safe)."""
+    """Per-sample w_i / W as plain floats (max-shifted, overflow safe); the
+    one normalization of the log2 weights."""
     u = np.exp2(log2_weights - log2_weights.max())
     return u / u.sum()
 
@@ -234,39 +204,45 @@ def log_sum_exp(terms: np.ndarray) -> np.ndarray:
     return m[:, 0] + np.log(np.sum(exp_inplace(terms - m), axis=1))
 
 
-def init_weights_empirical(points) -> WeightedDataset:
-    """Start every sample at weight 1/n (total weight exactly 1)."""
-    pts = as_points(points)
-    n = pts.shape[0]
-    lw = np.full(n, -np.log2(float(n)))
-    return WeightedDataset(pts, lw, log2_total=0.0)
+def init_weights_empirical(points) -> np.ndarray:
+    """log2 weights that start every sample at 1/n (total weight exactly 1)."""
+    n = as_points(points).shape[0]
+    return np.full(n, -np.log2(float(n)))
 
 
-def init_weights_exact(target: DiscreteDistribution) -> WeightedDataset:
-    """Start each support point at its target mass (total weight exactly 1)."""
+def init_weights_exact(target: DiscreteDistribution) -> np.ndarray:
+    """log2 weights that start each support point at its target mass (total
+    weight exactly 1)."""
     if np.any(target.mass <= 0):
         raise ConfigurationError(
             "exact weight init needs strictly positive masses"
         )
-    lw = np.log2(target.mass)
-    return WeightedDataset(target.support, lw, log2_total=0.0)
+    return np.log2(target.mass)
 
 
-def normalize(ws: WeightedDataset) -> DiscreteDistribution:
+def normalize(points, log2_weights) -> DiscreteDistribution:
     """Current round distribution: mass_i = w_i / W, duplicates aggregated."""
-    support, mass = _aggregate(ws.points, ws.relative_weights())
+    pts = as_points(points)
+    lw = np.asarray(log2_weights, dtype=float)
+    if lw.shape != (pts.shape[0],):
+        raise ContractViolation(
+            f"log2 weights of shape {lw.shape} do not match {pts.shape[0]} points"
+        )
+    if not np.all(np.isfinite(lw)):
+        raise ConfigurationError("log2 weights must be finite")
+    support, mass = _aggregate(pts, relative_weights(lw))
     return DiscreteDistribution(support, mass)
 
 
-def double_weights(ws: WeightedDataset, doubled) -> WeightedDataset:
-    """Double the weight of every flagged sample."""
+def double_weights(log2_weights, doubled) -> np.ndarray:
+    """The log2 weights with every flagged sample's weight doubled."""
+    lw = np.asarray(log2_weights, dtype=float)
     flags = np.asarray(doubled, dtype=bool)
-    if flags.shape != (ws.size,):
+    if flags.shape != lw.shape:
         raise ContractViolation(
-            f"flag count {flags.shape} does not match {ws.size} samples"
+            f"flags of shape {flags.shape} do not match log2 weights {lw.shape}"
         )
-    lw = ws.log2_weight + flags
-    return WeightedDataset(ws.points, lw, log2_total=log2_weight_sum(lw))
+    return lw + flags
 
 
 @dataclass(frozen=True)
@@ -331,6 +307,9 @@ class AnalyticDensity:
         """Exact mass of the axis-aligned box [lo, hi] via CDF products."""
         lo = np.atleast_1d(np.asarray(lo, dtype=float))
         hi = np.atleast_1d(np.asarray(hi, dtype=float))
+        # imported at its one use, so that importing the package skips scipy.special
+        from scipy.special import ndtr
+
         sd = np.sqrt(self.variances)
         per_axis = ndtr((hi - self.means) / sd) - ndtr((lo - self.means) / sd)
         return float(np.dot(self.weights, np.prod(per_axis, axis=1)))

@@ -28,8 +28,8 @@ from .core import (
     _SQDIST_BLOCK_BYTES,
     ConfigurationError,
     ContractViolation,
-    WeightedDataset,
     as_points,
+    relative_weights,
     row_groups,
     row_lookup,
     sqdist,
@@ -217,10 +217,14 @@ def ratio_estimate(disc, x) -> np.ndarray:
     return 1.0 / disc.predict(x) - 1.0
 
 
-def empirical_cover_test(disc, ws: WeightedDataset, delta: float) -> np.ndarray:
+def empirical_cover_test(disc, points, log2_weights, delta: float) -> np.ndarray:
     """Doubling flags for every sample: estimated-ratio times relative weight
     strictly below delta / n. Equality keeps the weight unchanged."""
-    ratios = ratio_estimate(disc, ws.points)
-    rel = np.exp2(ws.log2_weight - ws.log2_total)
-    return ratios * rel < delta / ws.size
+    ratios = ratio_estimate(disc, points)
+    rel = relative_weights(np.asarray(log2_weights, dtype=float))
+    if rel.shape != ratios.shape:
+        raise ContractViolation(
+            f"log2 weights of shape {rel.shape} do not match {len(ratios)} points"
+        )
+    return ratios * rel < delta / len(ratios)
 

@@ -6,8 +6,8 @@ inequality exactly, and reports trials, violations, and the worst margin.
 The oracles share one trial loop, `_run_trials`: an oracle supplies only how
 to draw one instance and measure its margin. Per-trial seeds derive from
 (master seed, trial index), so results are independent of evaluation order.
-The weight-growth oracle totals its weights with the shipped
-`core.log2_weight_sum`.
+The weight-growth oracle doubles and totals its weights with the shipped
+`core.double_weights` and `core.log2_weight_sum`.
 """
 
 from __future__ import annotations
@@ -19,7 +19,9 @@ import numpy as np
 
 from .boost import BoostConfig, mixture_support_masses, run_exact
 from .bounds import coverage_guarantee, single_round_cover_bound
-from .core import ContractViolation, DiscreteDistribution, log2_weight_sum, relative_weights
+from .core import (
+    ContractViolation, DiscreteDistribution, double_weights, log2_weight_sum, relative_weights
+)
 from .generators import AdversarialCoverageGenerator, adversarial_make, greedy_uncover_region
 
 SLACK = 1e-12
@@ -180,7 +182,7 @@ def check_weight_growth(
         lw = np.log2(rng.dirichlet(np.ones(support_size)))
         for _ in range(rounds):
             flags = _greedy_mass_subset(relative_weights(lw), eps)
-            lw = lw + flags  # the doubling `core.double_weights` applies
+            lw = double_weights(lw, flags)
         log2_total = log2_weight_sum(lw)
         return cap_log2 - log2_total, lambda: {"log2_final": log2_total, "cap": cap_log2}
 

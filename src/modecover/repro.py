@@ -144,25 +144,25 @@ def two_point_walkthrough():
     """The 7-sample two-point scenario with a collapsed first generator and
     the ideal classifier; returns every intermediate quantity."""
     points = np.array([[0.0]] * 5 + [[1.0]] * 2)  # five at A, two at B
-    ws1 = init_weights_empirical(points)
-    p1 = normalize(ws1)  # {A: 5/7, B: 2/7}
+    lw1 = init_weights_empirical(points)
+    p1 = normalize(points, lw1)  # {A: 5/7, B: 2/7}
     collapsed = AdversarialCoverageGenerator(gamma=2.0 / 7.0, victim=[1]).fit(p1)
     g1 = collapsed.fitted_dist.mass  # {A: 1, B: 0}
     disc = exact_discriminator(p1.mass, g1, p1.support)
-    flags = empirical_cover_test(disc, ws1, delta=0.25)
-    ws2 = double_weights(ws1, flags)
-    p2 = normalize(ws2)
+    flags = empirical_cover_test(disc, points, lw1, delta=0.25)
+    lw2 = double_weights(lw1, flags)
+    p2 = normalize(points, lw2)
     # round 2: the generator fits the reweighted distribution exactly
     exact_fit = AdversarialCoverageGenerator(gamma=0.0, victim=[1]).fit(p2)
     g2 = exact_fit.fitted_dist.mass
     g_star = 0.5 * (g1 + g2)
     return {
-        "ws1": ws1,
+        "lw1": lw1,
         "p1": p1,
         "g1": g1,
         "disc": disc,
         "flags": flags,
-        "ws2": ws2,
+        "lw2": lw2,
         "p2": p2,
         "g2": g2,
         "g_star": g_star,
@@ -172,12 +172,12 @@ def two_point_walkthrough():
 def recipe_appendix_b(seed: int):
     """Bit-level replay of the two-point worked example."""
     r = two_point_walkthrough()
-    w2 = np.exp2(r["ws2"].log2_weight)
+    w2 = np.exp2(r["lw2"])
     total_a = float(math.fsum(w2[:5]))
     total_b = float(math.fsum(w2[5:]))
     d_vals = r["disc"].predict(np.array([[0.0], [1.0]]))
     checks = [
-        _check("w1_per_sample", float(np.exp2(r["ws1"].log2_weight[0])), expected=1 / 7),
+        _check("w1_per_sample", float(np.exp2(r["lw1"][0])), expected=1 / 7),
         _check("round1_flags", [bool(f) for f in r["flags"]],
                expected=[False] * 5 + [True] * 2),
         _check("n_doubled_round1", int(r["flags"].sum()), expected=2),
@@ -206,7 +206,7 @@ def recipe_appendix_b(seed: int):
     table = io.StringIO()
     table.write("sample,point,w1,w2,doubled\n")
     labels = ["A"] * 5 + ["B"] * 2
-    w1 = np.exp2(r["ws1"].log2_weight)
+    w1 = np.exp2(r["lw1"])
     for i in range(7):
         table.write(
             f"{i},{labels[i]},{float(w1[i])!r},{float(w2[i])!r},{int(r['flags'][i])}\n"

@@ -25,8 +25,8 @@ def _report(num: int, ok: bool, detail: str):
 def test_criterion_1_two_point_worked_example_exact():
     t0 = time.perf_counter()
     r = two_point_walkthrough()
-    w1 = np.exp2(r["ws1"].log2_weight)
-    w2 = np.exp2(r["ws2"].log2_weight)
+    w1 = np.exp2(r["lw1"])
+    w2 = np.exp2(r["lw2"])
     total_a = math.fsum(w2[:5])
     total_b = math.fsum(w2[5:])
     checks = {

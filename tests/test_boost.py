@@ -444,7 +444,7 @@ class TestTraceCsvFormat:
 class TestTraceConsistency:
     def test_minority_column_matches_reconstruction(self):
         from modecover import minority_weight_ratio
-        from modecover.core import double_weights, init_weights_exact
+        from modecover.core import double_weights, init_weights_exact, relative_weights
 
         rng = np.random.default_rng(10)
         target = DiscreteDistribution(
@@ -459,13 +459,64 @@ class TestTraceConsistency:
         _, trace = run_exact(target, cfg)
         recomputed = minority_weight_ratio(trace, [0, 3])
         # the share the loop's own weights give, before each round's doubling
-        ws = init_weights_exact(target)
+        lw = init_weights_exact(target)
         replayed = []
         for rec in trace.rounds:
-            replayed.append(float(ws.relative_weights()[np.asarray([0, 3])].sum()))
-            ws = double_weights(ws, rec.doubled)
+            replayed.append(float(relative_weights(lw)[np.asarray([0, 3])].sum()))
+            lw = double_weights(lw, rec.doubled)
         assert len(set(replayed)) > 1  # the share moves, so the replay is tested
         assert recomputed.tolist() == replayed
+
+    @pytest.mark.parametrize("mode", ["exact", "empirical"])
+    def test_totals_equal_a_replay_of_the_doublings(self, mode):
+        # every recorded log2 W_t is log2_weight_sum of the replayed weights,
+        # bit for bit, and W_1 is exactly 1 by construction
+        from modecover.core import double_weights, log2_weight_sum
+
+        rng = np.random.default_rng(13)
+        if mode == "exact":
+            target = DiscreteDistribution(
+                np.arange(9.0)[:, None], rng.dirichlet(np.ones(9))
+            )
+            cfg = BoostConfig(
+                generator=AdversarialCoverageGenerator(gamma=0.2), rounds=12, seed=2
+            )
+            _, trace = run_exact(target, cfg)
+        else:
+            cfg = BoostConfig(
+                generator=HistogramGenerator(grid=GridSpec([-6.0], [6.0], 24)),
+                rounds=4,
+                seed=1,
+            )
+            _, trace = run_empirical(rng.normal(0, 1, (500, 1)), cfg)
+        lw = trace.init_log2_weights
+        replayed = [0.0]
+        for rec in trace.rounds:
+            lw = double_weights(lw, rec.doubled)
+            replayed.append(log2_weight_sum(lw))
+        recorded = [r.log2_total for r in trace.rounds] + [trace.final_log2_total]
+        assert sum(r.n_doubled for r in trace.rounds) > 0
+        assert recorded[0] == 0.0
+        assert recorded == replayed
+
+    def test_broken_doubling_breaks_the_invariant(self, monkeypatch):
+        # a doubling that adds 2 more to one flagged log2 weight makes
+        # log2 W_t+1 drift from log2 W_t + log2(1 + eps_t), and the run stops
+        import modecover.boost as boost_mod
+        from modecover.core import double_weights
+
+        def broken(lw, flags):
+            out = double_weights(lw, flags)
+            out[np.flatnonzero(flags)[:1]] += 2.0
+            return out
+
+        monkeypatch.setattr(boost_mod, "double_weights", broken)
+        rng = np.random.default_rng(14)
+        target = DiscreteDistribution(np.arange(8.0)[:, None], rng.dirichlet(np.ones(8)))
+        cfg = BoostConfig(generator=AdversarialCoverageGenerator(gamma=0.2), rounds=3)
+        with pytest.raises(BoostRunError, match="log2 W_t\\+1") as err:
+            run_exact(target, cfg)
+        assert err.value.round_index == 1
 
     def test_total_weight_never_decreases(self):
         rng = np.random.default_rng(11)

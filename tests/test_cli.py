@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -218,6 +221,36 @@ def test_exact_victim_index_checked_against_support(tmp_path, capsys, victim, co
         err = capsys.readouterr().err
         assert err.startswith("configuration error:")
         assert f"victim index {victim[-1]} is outside the 200 support points" in err
+
+
+def test_broken_weight_invariant_exits_three(tmp_path, capsys, monkeypatch):
+    import modecover.boost as boost_mod
+    from modecover.core import double_weights
+
+    def broken(lw, flags):
+        out = double_weights(lw, flags)
+        out[np.flatnonzero(flags)[:1]] += 2.0
+        return out
+
+    monkeypatch.setattr(boost_mod, "double_weights", broken)
+    cfg = write_config(
+        tmp_path,
+        dataset=SMALL_SPIRAL,
+        mode="exact",
+        boost={"rounds": 2, "delta": 0.25, "seed": 1},
+        generator={"kind": "adversarial", "victim": [3]},
+    )
+    assert main(["boost", "--config", str(cfg)]) == 3
+    assert capsys.readouterr().err.startswith("run failed: round 1: log2 W_t+1")
+
+
+def test_cli_import_skips_scipy_special():
+    code = "import sys, modecover.cli; print('scipy.special' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"
 
 
 def test_edge_generator_values_still_run(tmp_path):

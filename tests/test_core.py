@@ -21,7 +21,7 @@ from modecover import (
     uniform_on,
 )
 from modecover import core
-from modecover.core import row_groups, row_lookup, sqdist
+from modecover.core import log2_weight_sum, relative_weights, row_groups, row_lookup, sqdist
 from modecover.discriminator import exact_discriminator
 from modecover.divergences import tv_discrete
 from modecover.generators import AdversarialCoverageGenerator
@@ -61,18 +61,18 @@ class TestDiscreteDistribution:
 
 class TestWeightInit:
     def test_empirical_seven_points(self):
-        ws = init_weights_empirical(np.zeros((7, 1)) + np.arange(7)[:, None])
-        assert np.all(np.exp2(ws.log2_weight) == 1 / 7)
-        assert ws.log2_total == 0.0
+        lw = init_weights_empirical(np.zeros((7, 1)) + np.arange(7)[:, None])
+        assert np.all(np.exp2(lw) == 1 / 7)
+        assert log2_weight_sum(lw) == 0.0
 
     def test_empirical_single_point(self):
-        ws = init_weights_empirical([[3.0]])
-        assert np.exp2(ws.log2_weight[0]) == 1.0
-        assert ws.log2_total == 0.0
+        lw = init_weights_empirical([[3.0]])
+        assert np.exp2(lw[0]) == 1.0
+        assert log2_weight_sum(lw) == 0.0
 
     def test_empirical_four_points_log_weights(self):
-        ws = init_weights_empirical(np.arange(4.0)[:, None])
-        assert np.all(ws.log2_weight == -2.0)
+        lw = init_weights_empirical(np.arange(4.0)[:, None])
+        assert np.all(lw == -2.0)
 
     def test_empirical_rejects_empty(self):
         with pytest.raises(ConfigurationError):
@@ -80,21 +80,21 @@ class TestWeightInit:
 
     def test_exact_two_point(self):
         target = DiscreteDistribution([[0.0], [1.0]], [5 / 7, 2 / 7])
-        ws = init_weights_exact(target)
-        w = np.exp2(ws.log2_weight)
+        w = np.exp2(init_weights_exact(target))
         assert w[0] == pytest.approx(5 / 7, rel=1e-15)
         assert w[1] == pytest.approx(2 / 7, rel=1e-15)
-        assert ws.log2_total == 0.0
+        # the loop starts W at exactly 1; these weights total 1 within MASS_TOL
+        assert log2_weight_sum(np.log2(w)) == pytest.approx(0.0, abs=core.MASS_TOL)
 
     def test_exact_uniform_ten(self):
         target = uniform_on(np.arange(10.0)[:, None])
-        ws = init_weights_exact(target)
-        assert np.allclose(np.exp2(ws.log2_weight), 0.1, rtol=1e-15)
+        lw = init_weights_exact(target)
+        assert np.allclose(np.exp2(lw), 0.1, rtol=1e-15)
 
     def test_exact_point_mass(self):
         target = DiscreteDistribution([[0.0]], [1.0])
-        ws = init_weights_exact(target)
-        assert np.exp2(ws.log2_weight[0]) == 1.0
+        lw = init_weights_exact(target)
+        assert np.exp2(lw[0]) == 1.0
 
     def test_exact_rejects_zero_mass(self):
         target = DiscreteDistribution([[0.0], [1.0]], [1.0, 0.0])
@@ -105,52 +105,67 @@ class TestWeightInit:
 class TestNormalizeAndDouble:
     def test_worked_two_point_round(self):
         # five samples at one point, two at another; double the two
-        ws = init_weights_empirical([[0.0]] * 5 + [[1.0]] * 2)
+        points = [[0.0]] * 5 + [[1.0]] * 2
+        lw = init_weights_empirical(points)
         flags = np.array([False] * 5 + [True] * 2)
-        ws2 = double_weights(ws, flags)
-        p2 = normalize(ws2)
+        p2 = normalize(points, double_weights(lw, flags))
         assert p2.mass[0] == 5 / 9
         assert p2.mass[1] == 4 / 9
 
     def test_normalize_uniform(self):
-        ws = init_weights_empirical(np.arange(6.0)[:, None])
-        p = normalize(ws)
+        points = np.arange(6.0)[:, None]
+        p = normalize(points, init_weights_empirical(points))
         assert np.allclose(p.mass, 1 / 6, rtol=1e-15)
 
     def test_normalize_hand_example(self):
         # raw weights 1, 2, 1 -> masses 0.25, 0.5, 0.25
-        ws = init_weights_empirical(np.arange(3.0)[:, None])
-        ws = double_weights(ws, [False, True, False])
-        p = normalize(ws)
+        points = np.arange(3.0)[:, None]
+        lw = double_weights(init_weights_empirical(points), [False, True, False])
+        p = normalize(points, lw)
         assert np.allclose(p.mass, [0.25, 0.5, 0.25], atol=0)
 
     def test_double_no_flags_identity(self):
-        ws = init_weights_empirical(np.arange(5.0)[:, None])
-        ws2 = double_weights(ws, np.zeros(5, dtype=bool))
-        assert np.array_equal(ws2.log2_weight, ws.log2_weight)
-        assert ws2.log2_total == pytest.approx(ws.log2_total, abs=1e-12)
+        lw = init_weights_empirical(np.arange(5.0)[:, None])
+        lw2 = double_weights(lw, np.zeros(5, dtype=bool))
+        assert np.array_equal(lw2, lw)
+        assert log2_weight_sum(lw2) == pytest.approx(log2_weight_sum(lw), abs=1e-12)
 
     def test_double_all_flags_cancels_in_normalize(self):
-        ws = init_weights_empirical(np.arange(5.0)[:, None])
-        ws2 = double_weights(ws, np.ones(5, dtype=bool))
-        assert np.allclose(normalize(ws2).mass, normalize(ws).mass, atol=0)
-        assert ws2.log2_total == pytest.approx(1.0, abs=1e-12)
+        points = np.arange(5.0)[:, None]
+        lw = init_weights_empirical(points)
+        lw2 = double_weights(lw, np.ones(5, dtype=bool))
+        assert np.allclose(normalize(points, lw2).mass, normalize(points, lw).mass, atol=0)
+        assert log2_weight_sum(lw2) == pytest.approx(1.0, abs=1e-12)
 
     def test_double_flag_length_mismatch(self):
-        ws = init_weights_empirical(np.arange(5.0)[:, None])
+        lw = init_weights_empirical(np.arange(5.0)[:, None])
         with pytest.raises(ContractViolation):
-            double_weights(ws, [True, False])
+            double_weights(lw, [True, False])
+
+    def test_normalize_weight_shape_mismatch(self):
+        points = np.arange(5.0)[:, None]
+        for lw in (np.zeros(4), np.zeros(6), np.zeros((5, 1)), 0.0):
+            with pytest.raises(ContractViolation):
+                normalize(points, lw)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_normalize_rejects_non_finite_weight(self, bad):
+        points = np.arange(5.0)[:, None]
+        lw = init_weights_empirical(points)
+        lw[2] = bad
+        with pytest.raises(ConfigurationError):
+            normalize(points, lw)
 
     def test_total_tracks_doubled_mass(self):
         # W_{t+1} = W_t * (1 + doubled round mass), exactly in the log domain
         rng = np.random.default_rng(0)
-        ws = init_weights_empirical(rng.normal(size=(40, 2)))
+        lw = init_weights_empirical(rng.normal(size=(40, 2)))
         for t in range(12):
-            rel = ws.relative_weights()
+            rel = relative_weights(lw)
             flags = rng.random(40) < 0.3
-            expected = ws.log2_total + math.log2(1.0 + rel[flags].sum())
-            ws = double_weights(ws, flags)
-            assert ws.log2_total == pytest.approx(expected, abs=1e-9)
+            expected = log2_weight_sum(lw) + math.log2(1.0 + rel[flags].sum())
+            lw = double_weights(lw, flags)
+            assert log2_weight_sum(lw) == pytest.approx(expected, abs=1e-9)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -159,12 +174,9 @@ class TestNormalizeAndDouble:
     def test_mass_sums_to_one_after_many_doublings(self, dbl_counts):
         # up to 200 doublings per point must not break normalization
         n = len(dbl_counts)
-        ws = init_weights_empirical(np.arange(float(n))[:, None])
-        lw = ws.log2_weight + np.asarray(dbl_counts, dtype=float)
-        from modecover.core import WeightedDataset, log2_weight_sum
-
-        ws = WeightedDataset(ws.points, lw, log2_total=log2_weight_sum(lw))
-        assert normalize(ws).mass.sum() == pytest.approx(1.0, abs=1e-9)
+        points = np.arange(float(n))[:, None]
+        lw = init_weights_empirical(points) + np.asarray(dbl_counts, dtype=float)
+        assert normalize(points, lw).mass.sum() == pytest.approx(1.0, abs=1e-9)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -179,13 +191,8 @@ class TestNormalizeAndDouble:
         # log-domain doubling matches multiplying raw weights by two
         n = min(len(flags), len(raw))
         flags, raw = np.asarray(flags[:n]), np.asarray(raw[:n])
-        from modecover.core import WeightedDataset, log2_weight_sum
-
-        lw = np.log2(raw)
-        ws = WeightedDataset(
-            np.arange(float(n))[:, None], lw, log2_total=log2_weight_sum(lw)
-        )
-        doubled = normalize(double_weights(ws, flags)).mass
+        points = np.arange(float(n))[:, None]
+        doubled = normalize(points, double_weights(np.log2(raw), flags)).mass
         linear = raw * np.where(flags, 2.0, 1.0)
         expected = linear / linear.sum()
         assert np.allclose(doubled, expected, rtol=1e-12)
@@ -394,10 +401,9 @@ class TestRowGroups:
         assert same_bits(uniform.mass, counts / len(pts))
 
         lw = np.random.default_rng(seed).uniform(-30.0, 30.0, len(pts))
-        ws = core.WeightedDataset(pts, lw, log2_total=core.log2_weight_sum(lw))
         u = np.exp2(lw - lw.max())
         support, mass = unique_aggregate(pts, u / u.sum())
-        dist = normalize(ws)
+        dist = normalize(pts, lw)
         assert same_bits(dist.support, support)
         assert same_bits(dist.mass, mass)
 

@@ -6,6 +6,7 @@ import pytest
 from modecover import (
     AnalyticDensity,
     BoostConfig,
+    ContractViolation,
     Discriminator,
     DiscriminatorSpec,
     FixedFamilyGenerator,
@@ -16,7 +17,7 @@ from modecover import (
     run_empirical,
     train_discriminator,
 )
-from modecover.core import _SQDIST_BLOCK_BYTES
+from modecover.core import _SQDIST_BLOCK_BYTES, relative_weights
 from modecover.discriminator import _RBF_FLOOR
 
 AFFINE = DiscriminatorSpec(feature_map="affine")
@@ -154,9 +155,9 @@ class TestRatioEstimate:
 class TestEmpiricalCoverTest:
     def test_worked_two_point_flags(self):
         points = np.array([[0.0]] * 5 + [[1.0]] * 2)
-        ws = init_weights_empirical(points)
+        lw = init_weights_empirical(points)
         disc = exact_discriminator([5 / 7, 2 / 7], [1.0, 0.0], [[0.0], [1.0]])
-        flags = empirical_cover_test(disc, ws, delta=0.25)
+        flags = empirical_cover_test(disc, points, lw, delta=0.25)
         assert flags.tolist() == [False] * 5 + [True] * 2
         # the covered samples sit at 1.4 * (1/7) = 0.2 >= 0.25/7
         ratios = ratio_estimate(disc, np.array([[0.0]]))
@@ -164,26 +165,33 @@ class TestEmpiricalCoverTest:
 
     def test_uninformative_discriminator_never_doubles(self):
         points = np.arange(20.0)[:, None]
-        ws = init_weights_empirical(points)
+        lw = init_weights_empirical(points)
         disc = exact_discriminator(
             np.full(20, 0.05), np.full(20, 0.05), points
         )
         for delta in (0.1, 0.5, 0.99):
-            assert not empirical_cover_test(disc, ws, delta).any()
+            assert not empirical_cover_test(disc, points, lw, delta).any()
 
     def test_zero_ratio_doubles_everything(self):
         points = np.arange(5.0)[:, None]
-        ws = init_weights_empirical(points)
+        lw = init_weights_empirical(points)
         disc = exact_discriminator(np.ones(5), np.zeros(5), points)
-        assert empirical_cover_test(disc, ws, delta=0.25).all()
+        assert empirical_cover_test(disc, points, lw, delta=0.25).all()
 
     def test_threshold_equality_not_doubled(self):
         # ratio * w/W exactly delta/n stays unchanged (strict inequality)
         points = np.array([[0.0], [1.0]])
-        ws = init_weights_empirical(points)
+        lw = init_weights_empirical(points)
         disc = exact_discriminator([0.5, 0.5], [0.5, 0.5], points)  # ratio 1
-        flags = empirical_cover_test(disc, ws, delta=1.0)
+        flags = empirical_cover_test(disc, points, lw, delta=1.0)
         assert not flags.any()
+
+    def test_weight_shape_mismatch(self):
+        points = np.arange(3.0)[:, None]
+        disc = exact_discriminator(np.full(3, 1 / 3), np.full(3, 1 / 3), points)
+        for lw in (np.zeros(1), np.zeros(4), [0.0, 0.0]):
+            with pytest.raises(ContractViolation):
+                empirical_cover_test(disc, points, lw, delta=0.25)
 
 
 def one_round_record(points, candidate, disc, p_vals):
@@ -228,17 +236,17 @@ class TestDiagnostics:
         rng = np.random.default_rng(8)
         n = 12
         points = np.arange(float(n))[:, None]
-        ws = init_weights_empirical(points)
+        lw = init_weights_empirical(points)
         for _ in range(20):
             flags_random = rng.random(n) < 0.4
-            ws_t = ws
+            lw_t = lw
             if flags_random.any():
                 from modecover import double_weights
 
-                ws_t = double_weights(ws, flags_random)
-            p_t = np.exp2(ws_t.log2_weight - ws_t.log2_total)
+                lw_t = double_weights(lw, flags_random)
+            p_t = relative_weights(lw_t)
             g_t = rng.dirichlet(np.ones(n))
             disc = exact_discriminator(p_t, g_t, points, clamp=1e-12)
-            flags = empirical_cover_test(disc, ws_t, delta=0.3)
+            flags = empirical_cover_test(disc, points, lw_t, delta=0.3)
             exact = g_t < 0.3 * (1.0 / n)
             assert np.array_equal(flags, exact)

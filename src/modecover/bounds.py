@@ -135,7 +135,7 @@ class CoverageReport:
     def to_json_dict(self) -> dict:
         out = {
             "psi_hat": self.psi_hat,
-            "ratios": [float(r) for r in self.ratios],
+            "ratios": np.asarray(self.ratios, dtype=float).tolist(),
         }
         if self.worst_subset is not None:
             out["worst_subset"] = {

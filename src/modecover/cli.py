@@ -60,10 +60,6 @@ def validate_json(obj: dict, schema_name: str) -> None:
     jsonschema.validate(obj, _schema(schema_name))
 
 
-def _dump_json(obj: dict) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
-
-
 def _json_sanitize(value):
     if isinstance(value, float) and not math.isfinite(value):
         return repr(value)
@@ -74,20 +70,29 @@ def _json_sanitize(value):
     return value
 
 
-def _finish(out, files: dict[str, str], doc: dict) -> None:
+def _finish(out, files: dict[str, str | dict], doc: dict) -> None:
     """Write `files` and meta.json into directory `out` when one is given,
-    then print `doc` as the one-line JSON summary."""
+    then print `doc` as the one-line JSON summary.
+
+    A str is written as it is. A dict is streamed into its file as indented,
+    key-sorted JSON plus a newline, the bytes of `json.dumps` with the same
+    arguments, without building the document's text in memory first.
+    """
     if out:
         out_dir = Path(out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        for name, content in files.items():
-            (out_dir / name).write_text(content)
         meta = {
             "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
             "version": __version__,
             "argv": sys.argv[1:],
         }
-        (out_dir / "meta.json").write_text(_dump_json(meta))
+        for name, content in {**files, "meta.json": meta}.items():
+            if isinstance(content, str):
+                (out_dir / name).write_text(content)
+                continue
+            with (out_dir / name).open("w") as fh:
+                json.dump(content, fh, indent=2, sort_keys=True)
+                fh.write("\n")
     print(json.dumps(_json_sanitize(doc), sort_keys=True))
 
 
@@ -144,8 +149,8 @@ def cmd_boost(args) -> int:
         **boost_cfg,
     )
 
-    target = uniform_on(points)
     if config["mode"] == "exact":
+        target = uniform_on(points)
         if target.size != len(points):
             raise ConfigurationError(
                 "exact mode needs distinct points (duplicates were aggregated)"
@@ -154,6 +159,8 @@ def cmd_boost(args) -> int:
         method = "exact_support"
     else:
         mixture, trace = run_empirical(points, cfg)
+        # built after the loop, so its support is not alive through it
+        target = uniform_on(points)
         method = "support_renormalized"
     report = coverage_report(mixture_support_masses(mixture, target.support), target)
 
@@ -206,9 +213,9 @@ def cmd_boost(args) -> int:
     validate_json(report_doc, "coverage_report")
     files = {
         "trace.csv": trace.to_csv(minority_ratio),
-        "mixture.json": _dump_json(mixture_doc),
-        "summary.json": _dump_json(summary),
-        "coverage_report.json": _dump_json(report_doc),
+        "mixture.json": mixture_doc,
+        "summary.json": summary,
+        "coverage_report.json": report_doc,
     }
     _finish(args.out, files, summary)
     return EXIT_OK
@@ -217,7 +224,7 @@ def cmd_boost(args) -> int:
 def cmd_repro(args) -> int:
     values, files = run_recipe(args.name, args.seed)
     validate_json(values, "values")
-    _finish(args.out, {**files, "values.json": _dump_json(values)}, values)
+    _finish(args.out, {**files, "values.json": values}, values)
     if not values["pass"]:
         failing = [c["name"] for c in values["checks"] if not c["pass"]]
         print(f"out-of-tolerance: {', '.join(failing)}", file=sys.stderr)
@@ -243,7 +250,7 @@ def cmd_verify(args) -> int:
     report = run(trials, args.seed if args.seed is not None else 0)
     doc = report.to_json_dict()
     validate_json(doc, "oracle_report")
-    _finish(args.out, {"oracle_report.json": _dump_json(doc)}, doc)
+    _finish(args.out, {"oracle_report.json": doc}, doc)
     return EXIT_OK if report.ok else EXIT_VERIFY
 
 

@@ -7,6 +7,9 @@ The classifier is a logistic model over either standardized affine features
 or radial basis functions at k-means centers of the pooled sample. Training
 takes ridge-regularized Newton steps on the full batch, with backtracking
 on the penalized loss, so a fixed seed gives bit-identical weights.
+Training needs the whole (n, K + 1) feature matrix; `predict` keeps none. It
+fills one (rows, K + 1) block at a time and keeps only the n logits, so its
+memory is the output plus one feature block and one `sqdist` block.
 
 RBF feature values below 1e-154 are set to 0. Far from every center a
 feature underflows, and on x86 an `exp` that returns a subnormal, or a
@@ -73,38 +76,60 @@ class Discriminator:
     loss_path: tuple[float, ...] = field(default=(), repr=False)
 
     def features(self, x) -> np.ndarray:
-        """The (n, K + 1) feature matrix, bias column last.
-
-        RBF features are written into it a row block at a time, in the row
-        blocks `sqdist` uses, so the temporaries stay within a fixed block
-        at any n; the affine map needs none. An RBF value below `_RBF_FLOOR`
-        is 0; its exponent is clamped first, so `exp` never makes a
-        subnormal.
-        """
+        """The (n, K + 1) feature matrix, bias column last, as training needs
+        it, filled a row block at a time (see `_fill`)."""
         pts = as_points(x)
-        if self.spec.feature_map == "rbf":
-            phi = np.empty((len(pts), len(self.centers) + 1))
-            rows = max(1, _SQDIST_BLOCK_BYTES // (8 * self.centers.size))
-            width = 2.0 * self.scale**2
-            for i in range(0, len(pts), rows):
-                out = phi[i : i + rows, :-1]
-                # x / -w is bitwise -(x / w); every step writes into phi
-                np.divide(sqdist(pts[i : i + rows], self.centers), -width, out=out)
-                np.maximum(out, _RBF_ARG_MIN, out=out)
-                np.exp(out, out=out)
-                # positive values times a 0/1 mask: +0.0 below the floor, the rest kept
-                np.multiply(out, out >= _RBF_FLOOR, out=out)
-        else:
-            phi = np.empty((len(pts), pts.shape[1] + 1))
-            np.subtract(pts, self.mean, out=phi[:, :-1])
-            np.divide(phi[:, :-1], self.std, out=phi[:, :-1])
-        phi[:, -1] = 1.0
+        rows, width = self._blocks()
+        phi = np.empty((len(pts), width))
+        for i in range(0, len(pts), rows):
+            self._fill(pts[i : i + rows], phi[i : i + rows])
         return phi
 
     def predict(self, x) -> np.ndarray:
-        logits = self.features(x) @ self.weights
-        probs = 1.0 / (1.0 + np.exp(-logits))
-        return np.clip(probs, self.spec.clamp, 1.0 - self.spec.clamp)
+        """Clamped probabilities. One (rows, K + 1) buffer, local to the
+        call, is refilled for each row block and reduced to that block's
+        logits, so no (n, K + 1) matrix is held."""
+        pts = as_points(x)
+        rows, width = self._blocks()
+        buf = np.empty((min(len(pts), rows), width))
+        logits = np.empty(len(pts))
+        for i in range(0, len(pts), rows):
+            block = buf[: len(pts) - i]
+            self._fill(pts[i : i + rows], block)
+            np.matmul(block, self.weights, out=logits[i : i + rows])
+        # 1 / (1 + exp(-logits)), clipped, each step written into `logits`
+        np.negative(logits, out=logits)
+        np.exp(logits, out=logits)
+        np.add(logits, 1.0, out=logits)
+        np.divide(1.0, logits, out=logits)
+        return np.clip(logits, self.spec.clamp, 1.0 - self.spec.clamp, out=logits)
+
+    def _blocks(self) -> tuple[int, int]:
+        """(rows, K + 1): the rows of one feature block, those of `sqdist`'s
+        blocks against the centers (for the affine map, against the mean),
+        and the feature count plus the bias column."""
+        basis = self.centers if self.spec.feature_map == "rbf" else self.mean
+        return max(1, _SQDIST_BLOCK_BYTES // (8 * basis.size)), len(basis) + 1
+
+    def _fill(self, pts: np.ndarray, out: np.ndarray) -> None:
+        """Write the features of `pts` into `out`, a (len(pts), K + 1) buffer.
+
+        Every step writes into `out`; the only temporaries are one `sqdist`
+        block and the floor's 0/1 mask. An RBF value below `_RBF_FLOOR` is 0;
+        its exponent is clamped first, so `exp` never makes a subnormal.
+        """
+        phi = out[:, :-1]
+        if self.spec.feature_map == "rbf":
+            # x / -w is bitwise -(x / w), with w = 2 scale^2
+            np.divide(sqdist(pts, self.centers), -2.0 * self.scale**2, out=phi)
+            np.maximum(phi, _RBF_ARG_MIN, out=phi)
+            np.exp(phi, out=phi)
+            # positive values times a 0/1 mask: +0.0 below the floor, the rest kept
+            np.multiply(phi, phi >= _RBF_FLOOR, out=phi)
+        else:
+            np.subtract(pts, self.mean, out=phi)
+            np.divide(phi, self.std, out=phi)
+        out[:, -1] = 1.0
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,9 @@ from modecover import (
     KdeGenerator,
     generator_from_config,
 )
-from modecover.cli import _build_dataset, _load_run_config, main, validate_json
+from modecover import cli
+from modecover.bounds import coverage_report
+from modecover.cli import _build_dataset, _finish, _load_run_config, main, validate_json
 from modecover.repro import RECIPE_SEEDS, run_recipe
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -242,6 +244,46 @@ def test_broken_weight_invariant_exits_three(tmp_path, capsys, monkeypatch):
     )
     assert main(["boost", "--config", str(cfg)]) == 3
     assert capsys.readouterr().err.startswith("run failed: round 1: log2 W_t+1")
+
+
+class TestJsonWriter:
+    def test_streamed_bytes_equal_dumps(self, tmp_path, capsys):
+        doc = {
+            "nested": [[1, 2.5, [None, True]], [], {"z": [-1, 0.1], "a": {}}],
+            "subnormal": 5e-324,
+            "big": 1e308,
+            "negative_zero": -0.0,
+            "text": "gr\u00fc\u00dfe \u2713 \U0001d11e",
+        }
+        _finish(str(tmp_path), {"doc.json": doc}, {})
+        want = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        assert (tmp_path / "doc.json").read_bytes() == want.encode()
+
+    def test_empirical_coverage_report_parses_back(self, tmp_path, monkeypatch):
+        reports = []
+
+        def keep(masses, target):
+            reports.append(coverage_report(masses, target))
+            return reports[-1]
+
+        monkeypatch.setattr(cli, "coverage_report", keep)
+        out = tmp_path / "out"
+        assert main(["boost", "--config", str(write_config(tmp_path)), "--out", str(out)]) == 0
+        ratios = json.loads((out / "coverage_report.json").read_text())["ratios"]
+        want = np.asarray(reports[0].ratios, dtype=float)
+        assert np.array_equal(np.array(ratios).view(np.int64), want.view(np.int64))
+
+    def test_unencodable_doc_exits_three(self, tmp_path, capsys, monkeypatch):
+        class Report:
+            ok = True
+
+            def to_json_dict(self):
+                return {"suite": "lemma1", "values": {1, 2}}
+
+        monkeypatch.setitem(cli.SUITES, "lemma1", (1, lambda trials, seed: Report()))
+        monkeypatch.setattr(cli, "validate_json", lambda obj, name: None)
+        assert main(["verify", "lemma1", "--out", str(tmp_path / "v")]) == 3
+        assert capsys.readouterr().err == "error: Object of type set is not JSON serializable\n"
 
 
 def test_cli_import_skips_scipy_special():

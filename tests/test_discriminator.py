@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,15 +16,35 @@ from modecover import (
     FixedFamilyGenerator,
     empirical_cover_test,
     exact_discriminator,
+    generator_from_config,
     init_weights_empirical,
     ratio_estimate,
     run_empirical,
     train_discriminator,
 )
+from modecover import discriminator
 from modecover.core import _SQDIST_BLOCK_BYTES, relative_weights
 from modecover.discriminator import _RBF_FLOOR
+from modecover.synthdata import make_dataset
 
 AFFINE = DiscriminatorSpec(feature_map="affine")
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def predict_and_reference(feature_map, size):
+    """`predict` on 1, `rows` or `rows + 1` points (`rows` is the feature
+    block), and the same probabilities from the full feature matrix."""
+    rng = np.random.default_rng(11)
+    pos = rng.normal(1.0, 2.0, (600, 2))
+    neg = rng.normal(-1.0, 2.0, (600, 2))
+    spec = DiscriminatorSpec(feature_map=feature_map)
+    disc = train_discriminator(pos, neg, spec, seed=4)
+    basis = disc.centers if feature_map == "rbf" else disc.mean
+    rows = _SQDIST_BLOCK_BYTES // (8 * basis.size)
+    pts = rng.normal(0.0, 3.0, ({"one-row": 1, "rows": rows, "rows+1": rows + 1}[size], 2))
+    logits = disc.features(pts) @ disc.weights
+    want = np.clip(1.0 / (1.0 + np.exp(-logits)), spec.clamp, 1.0 - spec.clamp)
+    return disc.predict(pts), want
 
 
 class TestTraining:
@@ -135,6 +159,68 @@ class TestFeatures:
         finally:
             tracemalloc.stop()
         assert peak < phi.nbytes + _SQDIST_BLOCK_BYTES + 2**20
+
+    def test_predict_peak_memory_is_logits_plus_one_block(self):
+        rng = np.random.default_rng(12)
+        centers = rng.standard_normal((64, 2))
+        disc = Discriminator(
+            DiscriminatorSpec(), rng.standard_normal(65), centers, 1.0, None, None
+        )
+        pts = rng.standard_normal((200_000, 2))
+        block = (_SQDIST_BLOCK_BYTES // (8 * centers.size)) * 65 * 8
+        tracemalloc.start()
+        try:
+            probs = disc.predict(pts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < probs.nbytes + block + _SQDIST_BLOCK_BYTES + 2**20
+        assert peak < len(pts) * 65 * 8  # the (n, K + 1) matrix
+
+    @pytest.mark.parametrize("feature_map", ["rbf", "affine"])
+    @pytest.mark.parametrize("size", ["one-row", "rows"])
+    def test_predict_bitwise_within_one_block(self, feature_map, size):
+        got, want = predict_and_reference(feature_map, size)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize("feature_map", ["rbf", "affine"])
+    def test_predict_bitwise_across_a_block_edge(self, feature_map):
+        # Across the edge the reference is one (rows + 1)-row product and
+        # predict makes two. With more than one BLAS thread a row's dot
+        # product can depend on how the library splits the rows among the
+        # threads (1 ulp in one logit of 16,385 with 2 OpenBLAS threads), so
+        # the comparison runs in a process with one BLAS thread.
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        env.update(dict.fromkeys(BLAS_THREAD_VARS, "1"))
+        code = (
+            "import numpy as np\n"
+            "from test_discriminator import predict_and_reference\n"
+            f"got, want = predict_and_reference({feature_map!r}, 'rows+1')\n"
+            "print(int(np.count_nonzero(got.view(np.int64) != want.view(np.int64))))\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            cwd=Path(__file__).parent, env=env, capture_output=True, text=True, check=True,
+        )
+        assert out.stdout.strip() == "0"
+
+    def test_run_with_small_blocks_keeps_every_decision(self, monkeypatch):
+        points = make_dataset("spiral", seed=5, n=2000).points
+        cfg = BoostConfig(
+            generator=generator_from_config({"kind": "gmm", "k": 6}, points),
+            rounds=4,
+            seed=5,
+            disc_sample_size=1024,
+        )
+        _, default = run_empirical(points, cfg)
+        # 100-row blocks against 64 two-dimensional centers
+        monkeypatch.setattr(discriminator, "_SQDIST_BLOCK_BYTES", 100 * 8 * 64 * 2)
+        _, blocked = run_empirical(points, cfg)
+        assert any(0 < r.n_doubled < len(points) for r in default.rounds)
+        for a, b in zip(default.rounds, blocked.rounds, strict=True):
+            assert np.array_equal(a.doubled, b.doubled)
+            assert a.log2_total == b.log2_total
+        assert default.final_log2_total == blocked.final_log2_total
 
 
 class TestRatioEstimate:

@@ -24,17 +24,13 @@ from .bounds import (
     coverage_report,
     delta_beta_estimate,
     generalization_sample_size,
-    is_delta_covered,
-    kde_mean_loglik,
     minimax_cover_bound,
     minority_weight_ratio,
     mixture_cover_bound,
     mode_coverage_count,
     noisy_coverage_guarantee,
     single_round_cover_bound,
-    subset_cover_ratio,
     worst_subset,
-    worst_subset_exhaustive,
 )
 from .core import (
     AnalyticDensity,

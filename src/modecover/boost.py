@@ -97,14 +97,12 @@ class GeneratorMixture:
 
 def mixture_pdf(mixture: GeneratorMixture, x) -> np.ndarray:
     """Pointwise mean of the member densities."""
-    vals = [np.asarray(gen.pdf(x), dtype=float) for gen in mixture.generators]
-    return sum(vals) / len(vals)
+    return sum(np.asarray(gen.pdf(x), dtype=float) for gen in mixture.generators) / mixture.rounds
 
 
 def mixture_support_masses(mixture: GeneratorMixture, points) -> np.ndarray:
     """Mean of the members' distributions restricted to a finite support."""
-    vals = [gen.support_masses(points) for gen in mixture.generators]
-    return sum(vals) / len(vals)
+    return sum(gen.support_masses(points) for gen in mixture.generators) / mixture.rounds
 
 
 def mixture_sample(mixture: GeneratorMixture, count: int, seed) -> np.ndarray:

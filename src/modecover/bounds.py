@@ -15,27 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    ContractViolation, DiscreteDistribution, double_weights, log_sum_exp, relative_weights,
-    sqdist, uniform_on,
-)
-from .generators import KdeGenerator
+from .core import ContractViolation, DiscreteDistribution, double_weights, relative_weights, sqdist
 
 LN2 = math.log(2.0)
-
-
-def is_delta_covered(g_val: float, p_val: float, delta: float) -> bool:
-    """Point-level coverage test: generated density at least delta times target."""
-    if g_val < 0 or p_val < 0:
-        raise ContractViolation("densities must be nonnegative")
-    return g_val >= delta * p_val
-
-
-def subset_cover_ratio(g_mass_on_s: float, p_mass_on_s: float) -> float:
-    """Generated-over-target mass ratio of a subset."""
-    if p_mass_on_s <= 0:
-        raise ContractViolation("subset has no target mass; ratio undefined")
-    return g_mass_on_s / p_mass_on_s
 
 
 def single_round_cover_bound(delta: float, gamma: float) -> float:
@@ -171,32 +153,6 @@ def worst_subset(ratios, masses, mass_lb: float) -> WorstSubset:
     )
 
 
-def worst_subset_exhaustive(ratios, masses, mass_lb: float) -> WorstSubset:
-    """True minimum over all subsets; oracle for small supports only."""
-    ratios = np.asarray(ratios, dtype=float)
-    masses = np.asarray(masses, dtype=float)
-    n = len(ratios)
-    if n > 20:
-        raise ContractViolation("exhaustive subset search capped at 20 points")
-    best = None
-    gen = ratios * masses
-    for code in range(1, 1 << n):
-        sel = np.array([(code >> i) & 1 for i in range(n)], dtype=bool)
-        pm = float(masses[sel].sum())
-        if pm < mass_lb - 1e-12:
-            continue
-        r = float(gen[sel].sum()) / pm
-        if best is None or r < best.ratio:
-            best = WorstSubset(
-                indices=tuple(int(i) for i in np.flatnonzero(sel)),
-                ratio=r,
-                mass=pm,
-            )
-    if best is None:
-        raise ContractViolation("total mass below requested lower bound")
-    return best
-
-
 def coverage_report(
     generated_mass, target: DiscreteDistribution, mass_lb: float | None = None
 ) -> CoverageReport:
@@ -284,20 +240,3 @@ def minority_weight_ratio(trace, minority_indices) -> np.ndarray:
         lw = double_weights(lw, record.doubled)
     return np.asarray(out)
 
-
-def kde_mean_loglik(model, eval_points, bandwidth: float = 0.1) -> float:
-    """Mean natural-log density over eval_points.
-
-    `model` is either an (n, d) sample array, to which a fixed-bandwidth
-    `KdeGenerator` is fit (its log density is a log-sum-exp over the
-    components, so far-tail values stay finite), or a callable density.
-    """
-    if bandwidth <= 0:
-        raise ContractViolation("bandwidth must be positive")
-    pts = np.atleast_2d(np.asarray(eval_points, dtype=float))
-    if callable(model):
-        vals = np.asarray([model(x) for x in pts], dtype=float)
-        with np.errstate(divide="ignore"):
-            return float(np.mean(np.log(vals)))
-    kde = KdeGenerator(bandwidth).fit(uniform_on(np.atleast_2d(model)))
-    return float(np.mean(log_sum_exp(kde.fitted.log_components(pts))))

@@ -248,7 +248,7 @@ def double_weights(log2_weights, doubled) -> np.ndarray:
 @dataclass(frozen=True)
 class AnalyticDensity:
     """Mixture of axis-aligned Gaussians with known density and sampler; the
-    one evaluation of such a mixture (GMM E-step, KDE, `kde_mean_loglik`)."""
+    one evaluation of such a mixture (GMM E-step, KDE)."""
 
     weights: np.ndarray  # (K,)
     means: np.ndarray  # (K, d)
@@ -400,13 +400,15 @@ def save_points_csv(path, points, mode_ids=None) -> None:
 def load_points_csv(path):
     """Read the CSV point format; returns (points, mode_ids or None)."""
     path = Path(path)
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ConfigurationError(f"{path}: empty file, header required")
-        rows = list(reader)
+    try:
+        with open(path, newline="") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            rows = list(reader)
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise ConfigurationError(f"cannot read points {path}: {exc}") from exc
+    if header is None:
+        raise ConfigurationError(f"{path}: empty file, header required")
     if not rows:
         raise ConfigurationError(f"{path}: no data rows")
     has_mode = header[-1].strip() == "mode_id"

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,9 +24,9 @@ from modecover import (
     run_exact,
     uniform_on,
     worst_subset,
-    worst_subset_exhaustive,
 )
 from modecover.boost import round_rng_seed
+from subset_oracle import worst_subset_exhaustive
 
 
 def two_point_target():
@@ -341,6 +342,44 @@ class TestMixture:
         xs = np.linspace(-10, 10, 8001)
         integral = np.trapezoid(mixture_pdf(mix, xs[:, None]), xs)
         assert integral == pytest.approx(1.0, abs=1e-6)
+
+    @staticmethod
+    def _histogram_mixture(points, rounds):
+        # members fit to different random subsets, so their masses differ
+        grid = GridSpec([0.0, 0.0], [1.0, 1.0], 16)
+        rng = np.random.default_rng(8)
+        return GeneratorMixture(
+            tuple(
+                HistogramGenerator(grid=grid).fit(
+                    uniform_on(points[rng.choice(len(points), 64)])
+                )
+                for _ in range(rounds)
+            )
+        )
+
+    def test_running_means_bit_identical_to_list_means(self):
+        points = np.random.default_rng(7).random((5000, 2))
+        mix = self._histogram_mixture(points, 25)
+        masses = [gen.support_masses(points) for gen in mix.generators]
+        assert np.array_equal(mixture_support_masses(mix, points), sum(masses) / len(masses))
+        pdfs = [gen.pdf(points) for gen in mix.generators]
+        assert np.array_equal(mixture_pdf(mix, points), sum(pdfs) / len(pdfs))
+
+    def test_support_masses_peak_memory_flat_in_rounds(self):
+        # the running sum holds one (n,) partial sum beside the member being
+        # evaluated; a list of every member's masses would hold 25 of them
+        n = 100_000
+        points = np.random.default_rng(7).random((n, 2))
+        peaks = {}
+        for rounds in (1, 25):
+            mix = self._histogram_mixture(points, rounds)
+            tracemalloc.start()
+            try:
+                mixture_support_masses(mix, points)
+                peaks[rounds] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[25] <= peaks[1] + 3 * 8 * n
 
     def test_sampling_balance(self):
         a = AdversarialCoverageGenerator(gamma=0.0, victim=[0]).fit(

@@ -14,8 +14,6 @@ from modecover import (
     coverage_report,
     delta_beta_estimate,
     generalization_sample_size,
-    is_delta_covered,
-    kde_mean_loglik,
     make_rare_modes_instance,
     make_three_gauss_target,
     minimax_cover_bound,
@@ -24,42 +22,27 @@ from modecover import (
     mode_coverage_count,
     noisy_coverage_guarantee,
     single_round_cover_bound,
-    subset_cover_ratio,
     worst_subset,
-    worst_subset_exhaustive,
 )
 from modecover.boost import RoundRecord, RoundTrace
+from subset_oracle import worst_subset_exhaustive
 
 LN2 = math.log(2.0)
 
 
 class TestPointAndSubsetCover:
-    def test_equal_density_full_threshold(self):
-        assert is_delta_covered(0.3, 0.3, 1.0)
-
-    def test_zero_density_never_covers(self):
-        assert not is_delta_covered(0.0, 0.5, 0.1)
-
     def test_spread_candidate_covers_at_third(self):
         target, _, spread = make_rare_modes_instance()
         g0, p0 = spread.pdf([[0.0]])[0], target.pdf([[0.0]])[0]
-        assert is_delta_covered(g0, p0, 1 / 3)
+        assert g0 >= p0 / 3
         assert g0 / p0 == pytest.approx(0.347, abs=1e-3)
-
-    def test_subset_ratio_values(self):
-        assert subset_cover_ratio(0.5, 0.25) == 2.0
-        assert subset_cover_ratio(0.3, 0.3) == 1.0
-        with pytest.raises(ContractViolation):
-            subset_cover_ratio(0.1, 0.0)
 
     def test_rare_modes_side_subset_ratio(self):
         from modecover import interval_probability
 
         target, center, _ = make_rare_modes_instance()
         side = [(-14.0, -6.0), (6.0, 14.0)]
-        ratio = subset_cover_ratio(
-            interval_probability(center, side), interval_probability(target, side)
-        )
+        ratio = interval_probability(center, side) / interval_probability(target, side)
         assert 1e-7 / 3 <= ratio <= 3e-7
 
 
@@ -338,22 +321,6 @@ class TestMinorityWeightRatio:
             expected = 2.0 ** (t - 1) / (600 + 2.0 ** (t - 1))
             assert ratios[t - 1] == pytest.approx(expected, rel=1e-12)
         assert np.all(np.diff(ratios) > 0)
-
-
-class TestKdeMeanLoglik:
-    def test_single_center_at_itself(self):
-        val = kde_mean_loglik(np.array([[0.0]]), np.array([[0.0]]), bandwidth=0.1)
-        assert val == pytest.approx(math.log(3.98942), abs=1e-5)
-
-    def test_far_points_strongly_negative_but_finite(self):
-        val = kde_mean_loglik(np.array([[0.0]]), np.array([[5.0]]), bandwidth=0.1)
-        assert val < -100
-        assert math.isfinite(val)
-
-    def test_callable_model(self):
-        d = AnalyticDensity([1.0], [[0.0]], [[1.0]])
-        val = kde_mean_loglik(lambda x: d.pdf(np.atleast_2d(x))[0], [[0.0]])
-        assert val == pytest.approx(math.log(1 / math.sqrt(2 * math.pi)), rel=1e-12)
 
 
 def test_theory_params_validation():

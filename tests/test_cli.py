@@ -152,6 +152,22 @@ def test_malformed_dataset_exits_one(tmp_path, capsys, dataset, csv_text):
     assert capsys.readouterr().err.startswith("configuration error:")
 
 
+@pytest.mark.parametrize("case", ["missing", "directory", "not_utf8", "field_over_csv_limit"])
+def test_unreadable_csv_exits_one(tmp_path, capsys, case):
+    path = tmp_path / "d.csv"
+    if case == "directory":
+        path.mkdir()
+    elif case == "not_utf8":
+        path.write_bytes(b"x0\n\xff\xfe\n")
+    elif case == "field_over_csv_limit":
+        path.write_text("x0\n" + "1" * 200_000 + "\n")
+    cfg = write_config(tmp_path, dataset={"kind": "csv", "path": str(path)})
+    assert main(["boost", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:")
+    assert str(path) in err
+
+
 SMALL_SPIRAL = {"kind": "spiral", "seed": 3, "params": {"n": 200}}
 
 

@@ -40,6 +40,7 @@ from .core import (
     GridSpec,
     bounding_grid,
     double_weights,
+    group_points,
     init_weights_empirical,
     init_weights_exact,
     load_points_csv,

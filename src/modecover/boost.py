@@ -26,6 +26,7 @@ from .core import (
     DiscreteDistribution,
     as_points,
     double_weights,
+    group_points,
     init_weights_empirical,
     init_weights_exact,
     log2_weight_sum,
@@ -171,19 +172,21 @@ def _run(points: np.ndarray, lw: np.ndarray, cfg: BoostConfig, step):
 
     The weight state is `lw`, the samples' log2 weights beside the fixed
     `points`; both inits give a total weight of exactly 1, so log2 W_1 = 0.
-    Each round normalizes the weights into the round distribution p_t, calls
+    The points are grouped once, and each round normalizes the weights over
+    that grouping into the round distribution p_t, calls
     ``step(t, lw, p_t)`` for the fitted generator, the per-sample doubling
     flags and any extra RoundRecord fields, records the round, and doubles
     the flagged weights. A new total more than 1e-9 off the invariant
     log2 W_{t+1} = log2 W_t + log2(1 + eps_t), with eps_t = P_t(doubled),
     raises.
     """
+    grouped, label = group_points(points)
     init_log2_weights = lw
     log2_total = 0.0
     generators = []
     records = []
     for t in range(1, cfg.rounds + 1):
-        p_t = normalize(points, lw)
+        p_t = normalize(grouped, label, lw)
         gen, flags, extra = step(t, lw, p_t)
         records.append(
             RoundRecord(
@@ -234,7 +237,7 @@ def run_exact(target: DiscreteDistribution, cfg: BoostConfig):
         except Exception as exc:  # noqa: BLE001 - context added, then re-raised
             raise BoostRunError(t, f"generator fit failed: {exc}") from exc
         flags = g_mass < cfg.delta * target.mass
-        tv = tv_discrete(DiscreteDistribution(target.support, g_mass), p_t)
+        tv = tv_discrete(target.with_mass(g_mass), p_t)
         return gen, flags, {"tv_gen_vs_pt": tv}
 
     return _run(target.support, init_weights_exact(target), cfg, step)
@@ -251,7 +254,7 @@ def _measured_tv(gen: WeakGenerator, p_hat: DiscreteDistribution) -> float:
         data_bins = gen.bin_masses_of(p_hat)
         return 0.5 * float(np.abs(gen.bin_mass - data_bins).sum())
     g_mass = gen.support_masses(p_hat.support)
-    return tv_discrete(DiscreteDistribution(p_hat.support, g_mass), p_hat)
+    return tv_discrete(p_hat.with_mass(g_mass), p_hat)
 
 
 def run_empirical(points, cfg: BoostConfig, exact_target_pdf=None, discriminator_factory=None):
@@ -299,9 +302,10 @@ def run_empirical(points, cfg: BoostConfig, exact_target_pdf=None, discriminator
 
     def step(t, lw, p_hat):
         try:
-            train_pts = p_hat.sample(n, round_rng_seed(cfg.seed, t, "resample"))
+            # the resample is a temporary, so it is freed once the fit returns
             gen = cfg.generator.fit(
-                uniform_on(train_pts), round_rng_seed(cfg.seed, t, "fit")
+                uniform_on(p_hat.sample(n, round_rng_seed(cfg.seed, t, "resample"))),
+                round_rng_seed(cfg.seed, t, "fit"),
             )
         except Exception as exc:  # noqa: BLE001
             raise BoostRunError(t, f"generator fit failed: {exc}") from exc

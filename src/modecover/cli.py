@@ -56,8 +56,47 @@ def _schema(name: str) -> dict:
     return json.loads(ref.read_text())
 
 
+# schema name -> its validator, built on first use
+_VALIDATORS = {}
+
+# bare item schemas whose arrays `_validator` checks in one scan, with the
+# exact element type that passes
+_SCANNED_ITEMS = (({"type": "number"}, float), ({"type": "integer"}, int))
+
+
+def _validator(schema_name: str):
+    """The schema's validator, checked and built once per process.
+
+    Its `items` keyword passes a list without a further look when the item
+    schema is a bare number (integer) type and every element's type is
+    exactly float (int), which that schema accepts. Any other list, and any
+    failure, goes to jsonschema's own `items`, so every document is accepted
+    or rejected, with the same error, as by `jsonschema.validate`.
+    """
+    if schema_name not in _VALIDATORS:
+        schema = _schema(schema_name)
+        cls = jsonschema.validators.validator_for(schema)
+        cls.check_schema(schema)
+        items = cls.VALIDATORS["items"]
+
+        def scanned_items(validator, item_schema, instance, schema):
+            for bare, kind in _SCANNED_ITEMS:
+                if item_schema == bare and type(instance) is list:
+                    if set(map(type, instance)) <= {kind}:
+                        return
+            yield from items(validator, item_schema, instance, schema)
+
+        fast = jsonschema.validators.extend(cls, {"items": scanned_items})
+        _VALIDATORS[schema_name] = fast(schema)
+    return _VALIDATORS[schema_name]
+
+
 def validate_json(obj: dict, schema_name: str) -> None:
-    jsonschema.validate(obj, _schema(schema_name))
+    """Raise the `jsonschema.ValidationError` that `jsonschema.validate`
+    would raise for `obj` against the named schema, if any."""
+    error = jsonschema.exceptions.best_match(_validator(schema_name).iter_errors(obj))
+    if error is not None:
+        raise error
 
 
 def _json_sanitize(value):

@@ -60,17 +60,16 @@ class DiscreteDistribution:
 
     def __post_init__(self):
         support = as_points(self.support)
-        mass = np.asarray(self.mass, dtype=float)
         object.__setattr__(self, "support", support)
-        object.__setattr__(self, "mass", mass)
-        if mass.ndim != 1 or mass.shape[0] != support.shape[0]:
-            raise ConfigurationError("support and mass lengths differ")
-        if np.any(mass < 0) or not np.all(np.isfinite(mass)):
-            raise ConfigurationError("masses must be finite and nonnegative")
-        if abs(mass.sum() - 1.0) > MASS_TOL:
-            raise ConfigurationError(f"masses sum to {mass.sum()!r}, not 1")
+        object.__setattr__(self, "mass", _checked_mass(support, self.mass))
         if len(row_groups(support)[0]) != support.shape[0]:
             raise ConfigurationError("support points must be distinct")
+
+    def with_mass(self, mass) -> DiscreteDistribution:
+        """This support with new masses, checked as the constructor checks
+        them. The support was checked when this distribution was built, so
+        it is shared and not sorted again."""
+        return _on_checked_support(self.support, mass)
 
     @property
     def size(self) -> int:
@@ -87,6 +86,28 @@ class DiscreteDistribution:
         rng = np.random.default_rng(seed)
         idx = rng.choice(self.size, size=count, p=self.mass)
         return self.support[idx]
+
+
+def _checked_mass(support: np.ndarray, mass) -> np.ndarray:
+    """`mass` as a float array, after checking it is a probability vector
+    with one entry per support row."""
+    mass = np.asarray(mass, dtype=float)
+    if mass.ndim != 1 or mass.shape[0] != support.shape[0]:
+        raise ConfigurationError("support and mass lengths differ")
+    if np.any(mass < 0) or not np.all(np.isfinite(mass)):
+        raise ConfigurationError("masses must be finite and nonnegative")
+    if abs(mass.sum() - 1.0) > MASS_TOL:
+        raise ConfigurationError(f"masses sum to {mass.sum()!r}, not 1")
+    return mass
+
+
+def _on_checked_support(support: np.ndarray, mass) -> DiscreteDistribution:
+    """A distribution on `support`, a finite float array of distinct rows
+    the caller guarantees, with `mass` checked; skips the distinctness sort."""
+    dist = object.__new__(DiscreteDistribution)
+    object.__setattr__(dist, "support", support)
+    object.__setattr__(dist, "mass", _checked_mass(support, mass))
+    return dist
 
 
 def sqdist(x: np.ndarray, y: np.ndarray, scale=None) -> np.ndarray:
@@ -159,18 +180,27 @@ def row_lookup(support: np.ndarray, queries: np.ndarray) -> np.ndarray:
     return np.where(hit < len(support), hit, -1)
 
 
+def group_points(points):
+    """Group a point multiset once, for every later weighting of it.
+
+    Returns ``(uniform, label)``: `uniform` is the uniform empirical
+    distribution, whose support is the distinct rows in first-seen order,
+    and ``label[i]`` is the index of row i in that support. Summing any
+    per-row values with ``np.bincount(label, weights=values)`` gives their
+    per-support-point totals.
+    """
+    pts = as_points(points)
+    first, inverse = row_groups(pts)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    label = rank[inverse]
+    return _on_checked_support(pts[first[order]], np.bincount(label) / len(pts)), label
+
+
 def uniform_on(points) -> DiscreteDistribution:
     """Aggregate a point multiset into the uniform empirical distribution."""
-    pts = as_points(points)
-    support, counts = _aggregate(pts, np.ones(len(pts)))
-    return DiscreteDistribution(support, counts / len(pts))
-
-
-def _aggregate(points: np.ndarray, values: np.ndarray):
-    """Sum `values` over duplicate rows of `points`, keeping first-seen order."""
-    first, inverse = row_groups(points)
-    order = np.argsort(first)
-    return points[first[order]], np.bincount(inverse, weights=values)[order]
+    return group_points(points)[0]
 
 
 def relative_weights(log2_weights: np.ndarray) -> np.ndarray:
@@ -220,18 +250,18 @@ def init_weights_exact(target: DiscreteDistribution) -> np.ndarray:
     return np.log2(target.mass)
 
 
-def normalize(points, log2_weights) -> DiscreteDistribution:
-    """Current round distribution: mass_i = w_i / W, duplicates aggregated."""
-    pts = as_points(points)
+def normalize(grouped: DiscreteDistribution, label, log2_weights) -> DiscreteDistribution:
+    """Current round distribution on the support of `grouped`: each support
+    point's mass is the summed w_i / W of the samples that `label` (as from
+    `group_points`) maps to it."""
     lw = np.asarray(log2_weights, dtype=float)
-    if lw.shape != (pts.shape[0],):
+    if lw.shape != np.shape(label):
         raise ContractViolation(
-            f"log2 weights of shape {lw.shape} do not match {pts.shape[0]} points"
+            f"log2 weights of shape {lw.shape} do not match {len(label)} points"
         )
     if not np.all(np.isfinite(lw)):
         raise ConfigurationError("log2 weights must be finite")
-    support, mass = _aggregate(pts, relative_weights(lw))
-    return DiscreteDistribution(support, mass)
+    return grouped.with_mass(np.bincount(label, weights=relative_weights(lw)))
 
 
 def double_weights(log2_weights, doubled) -> np.ndarray:

@@ -395,7 +395,7 @@ def adversarial_make(base: DiscreteDistribution, gamma: float, region, seed=None
     mask = np.zeros(base.size, dtype=bool)
     mask[region] = True
     if gamma == 0.0 or not mask.any():
-        return DiscreteDistribution(base.support, base.mass.copy()), 0.0
+        return base.with_mass(base.mass.copy()), 0.0
     if mask.all():
         raise ContractViolation("region must leave room to redistribute")
     inside = float(base.mass[mask].sum())
@@ -403,7 +403,7 @@ def adversarial_make(base: DiscreteDistribution, gamma: float, region, seed=None
         raise ContractViolation("no mass outside region to scale up")
     mass, removed = _remove_mass(base.mass, mask, inside, gamma)
     mass = mass / mass.sum()  # guard rounding drift
-    return DiscreteDistribution(base.support, mass), removed
+    return base.with_mass(mass), removed
 
 
 def _remove_mass(mass: np.ndarray, mask: np.ndarray, inside: float, gamma: float):

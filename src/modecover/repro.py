@@ -19,6 +19,7 @@ from .core import (
     GridSpec,
     bounding_grid,
     double_weights,
+    group_points,
     init_weights_empirical,
     normalize,
     uniform_on,
@@ -144,14 +145,15 @@ def two_point_walkthrough():
     """The 7-sample two-point scenario with a collapsed first generator and
     the ideal classifier; returns every intermediate quantity."""
     points = np.array([[0.0]] * 5 + [[1.0]] * 2)  # five at A, two at B
+    grouped, label = group_points(points)  # support {A, B}
     lw1 = init_weights_empirical(points)
-    p1 = normalize(points, lw1)  # {A: 5/7, B: 2/7}
+    p1 = normalize(grouped, label, lw1)  # {A: 5/7, B: 2/7}
     collapsed = AdversarialCoverageGenerator(gamma=2.0 / 7.0, victim=[1]).fit(p1)
     g1 = collapsed.fitted_dist.mass  # {A: 1, B: 0}
     disc = exact_discriminator(p1.mass, g1, p1.support)
     flags = empirical_cover_test(disc, points, lw1, delta=0.25)
     lw2 = double_weights(lw1, flags)
-    p2 = normalize(points, lw2)
+    p2 = normalize(grouped, label, lw2)
     # round 2: the generator fits the reweighted distribution exactly
     exact_fit = AdversarialCoverageGenerator(gamma=0.0, victim=[1]).fit(p2)
     g2 = exact_fit.fitted_dist.mass

@@ -17,6 +17,7 @@ from modecover import (
     HistogramGenerator,
     KdeGenerator,
     exact_discriminator,
+    init_weights_empirical,
     mixture_pdf,
     mixture_sample,
     mixture_support_masses,
@@ -25,7 +26,9 @@ from modecover import (
     uniform_on,
     worst_subset,
 )
+from modecover import boost, core
 from modecover.boost import round_rng_seed
+from modecover.core import relative_weights, row_groups
 from subset_oracle import worst_subset_exhaustive
 
 
@@ -311,6 +314,60 @@ class TestRunEmpirical:
         cfg = BoostConfig(generator=KdeGenerator(), rounds=1, delta=0.25)
         with pytest.raises(Exception):
             run_empirical(np.array([[0.0]]), cfg)
+
+
+def aggregate_then_construct(points, lw):
+    """The round distribution as built before the loop grouped its points
+    once: regroup, sum the relative weights, reorder to first-seen order,
+    then construct (and so re-check) the distribution."""
+    first, inverse = row_groups(points)
+    order = np.argsort(first)
+    mass = np.bincount(inverse, weights=relative_weights(lw))[order]
+    return DiscreteDistribution(points[first[order]], mass)
+
+
+class TestGroupOnce:
+    def test_round_distribution_bit_identical_to_regrouping(self):
+        # duplicates, and rows that differ only in the sign of a zero
+        base = np.array(
+            [[0.0, 1.0], [-0.0, 1.0], [2.0, -0.0], [2.0, 0.0], [1.5, 3.0], [-1.0, 0.5]]
+        )
+        rng = np.random.default_rng(4)
+        points = base[rng.integers(0, len(base), 60)]
+        seen = []
+
+        def step(t, lw, p_t):
+            seen.append((lw, p_t))
+            return None, rng.random(len(points)) < 0.3, {}
+
+        cfg = BoostConfig(generator=KdeGenerator(bandwidth=0.5), rounds=8)
+        boost._run(points, init_weights_empirical(points), cfg, step)
+        assert len(seen) == 8
+        assert len({lw.tobytes() for lw, _ in seen}) > 1
+        for lw, p_t in seen:
+            want = aggregate_then_construct(points, lw)
+            assert p_t.support.tobytes() == want.support.tobytes()
+            assert p_t.mass.tobytes() == want.mass.tobytes()
+
+    def test_samples_grouped_once_per_run(self, monkeypatch):
+        points = np.random.default_rng(6).normal(0, 1, (400, 2))
+        calls = []
+
+        def counting(rows):
+            calls.append(np.array_equal(rows, points))
+            return row_groups(rows)
+
+        monkeypatch.setattr(core, "row_groups", counting)
+        cfg = BoostConfig(
+            generator=HistogramGenerator(grid=GridSpec([-5.0, -5.0], [5.0, 5.0], 8)),
+            rounds=4,
+            delta=0.25,
+            seed=2,
+        )
+        ideal = exact_discriminator(np.ones(len(points)), np.ones(len(points)), points)
+        _, trace = run_empirical(points, cfg, discriminator_factory=lambda *_: ideal)
+        assert len(trace.rounds) == 4
+        assert sum(calls) == 1
 
 
 class TestMixture:

@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import jsonschema
 import numpy as np
 import pytest
 
@@ -300,6 +301,81 @@ class TestJsonWriter:
         monkeypatch.setattr(cli, "validate_json", lambda obj, name: None)
         assert main(["verify", "lemma1", "--out", str(tmp_path / "v")]) == 3
         assert capsys.readouterr().err == "error: Object of type set is not JSON serializable\n"
+
+
+def _outcome(check, doc, schema_name):
+    """None if `check` accepts `doc`, else the error's message and path."""
+    try:
+        check(doc, schema_name)
+    except jsonschema.ValidationError as exc:
+        return exc.message, list(exc.absolute_path)
+    return None
+
+
+def _plain_validate(doc, schema_name):
+    jsonschema.validate(doc, cli._schema(schema_name))
+
+
+def _report_doc():
+    return {
+        "psi_hat": 0.5,
+        "ratios": [0.5 + i / 64 for i in range(1000)],
+        "worst_subset": {"indices": [0, 3, 7], "ratio": 0.5, "mass": 0.25},
+        "method": "exact_support",
+    }
+
+
+class TestValidationFastPath:
+    """`validate_json` accepts and rejects exactly what `jsonschema.validate`
+    does, with the same message and path."""
+
+    @pytest.mark.parametrize("bad", [True, "0.5", None, [0.5]])
+    def test_ratios_reject_non_numbers(self, bad):
+        doc = _report_doc()
+        doc["ratios"][700] = bad
+        want = _outcome(_plain_validate, doc, "coverage_report")
+        assert want is not None and want[1] == ["ratios", 700]
+        assert _outcome(validate_json, doc, "coverage_report") == want
+
+    @pytest.mark.parametrize("number", [np.float64(1.25), 3])
+    def test_ratios_accept_other_numbers(self, number):
+        doc = _report_doc()
+        doc["ratios"][1] = number
+        assert _outcome(_plain_validate, doc, "coverage_report") is None
+        assert _outcome(validate_json, doc, "coverage_report") is None
+
+    @pytest.mark.parametrize("index, accepted", [(True, False), (1.5, False), (1.0, True)])
+    def test_worst_subset_indices(self, index, accepted):
+        doc = _report_doc()
+        doc["worst_subset"]["indices"][1] = index
+        want = _outcome(_plain_validate, doc, "coverage_report")
+        assert (want is None) == accepted
+        assert _outcome(validate_json, doc, "coverage_report") == want
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("rounds", 0), ("rounds", True), ("delta", "0.25"), ("seed", 1.5), ("extra", 1)],
+    )
+    def test_bad_run_config_field_message(self, tmp_path, capsys, field, value):
+        path = write_config(tmp_path)
+        config = json.loads(path.read_text())
+        config["boost"][field] = value
+        path.write_text(json.dumps(config))
+        with pytest.raises(jsonschema.ValidationError) as plain:
+            jsonschema.validate(config, cli._schema("run_config"))
+        where = "/".join(str(p) for p in plain.value.absolute_path)
+        want = f"configuration error: config field {where}: {plain.value.message}\n"
+        assert main(["boost", "--config", str(path)]) == 1
+        assert capsys.readouterr().err == want
+
+
+def test_cli_import_builds_no_validator():
+    code = "import modecover.cli as cli; print(len(cli._VALIDATORS))"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "0"
 
 
 def test_cli_import_skips_scipy_special():

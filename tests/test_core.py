@@ -13,6 +13,7 @@ from modecover import (
     DiscreteDistribution,
     GridSpec,
     double_weights,
+    group_points,
     init_weights_empirical,
     init_weights_exact,
     load_points_csv,
@@ -27,6 +28,11 @@ from modecover.divergences import tv_discrete
 from modecover.generators import AdversarialCoverageGenerator
 
 INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+
+
+def normalize_on(points, log2_weights):
+    """The round distribution of `log2_weights` over the multiset `points`."""
+    return normalize(*group_points(points), log2_weights)
 
 
 class TestDiscreteDistribution:
@@ -45,6 +51,24 @@ class TestDiscreteDistribution:
     def test_rejects_duplicate_support(self):
         with pytest.raises(ConfigurationError):
             DiscreteDistribution([[0.0], [0.0]], [0.5, 0.5])
+
+    @pytest.mark.parametrize(
+        "bad", [[-0.25, 1.25], [np.nan, 1.0], [0.5, 0.25, 0.25], [0.5, 0.25]]
+    )
+    def test_with_mass_rejects_as_constructor(self, bad):
+        base = DiscreteDistribution([[0.0], [1.0]], [0.5, 0.5])
+        with pytest.raises(ConfigurationError) as built:
+            DiscreteDistribution(base.support, bad)
+        with pytest.raises(ConfigurationError) as swapped:
+            base.with_mass(bad)
+        assert str(swapped.value) == str(built.value)
+
+    def test_with_mass_shares_support_without_regrouping(self, monkeypatch):
+        base = DiscreteDistribution([[0.0], [1.0], [2.0]], np.full(3, 1 / 3))
+        monkeypatch.setattr(core, "row_groups", None)
+        swapped = base.with_mass([0.25, 0.5, 0.25])
+        assert swapped.support is base.support
+        assert swapped.mass.tolist() == [0.25, 0.5, 0.25]
 
     def test_uniform_on_aggregates_multiset(self):
         d = uniform_on([[0.0]] * 5 + [[1.0]] * 2)
@@ -108,20 +132,20 @@ class TestNormalizeAndDouble:
         points = [[0.0]] * 5 + [[1.0]] * 2
         lw = init_weights_empirical(points)
         flags = np.array([False] * 5 + [True] * 2)
-        p2 = normalize(points, double_weights(lw, flags))
+        p2 = normalize_on(points, double_weights(lw, flags))
         assert p2.mass[0] == 5 / 9
         assert p2.mass[1] == 4 / 9
 
     def test_normalize_uniform(self):
         points = np.arange(6.0)[:, None]
-        p = normalize(points, init_weights_empirical(points))
+        p = normalize_on(points, init_weights_empirical(points))
         assert np.allclose(p.mass, 1 / 6, rtol=1e-15)
 
     def test_normalize_hand_example(self):
         # raw weights 1, 2, 1 -> masses 0.25, 0.5, 0.25
         points = np.arange(3.0)[:, None]
         lw = double_weights(init_weights_empirical(points), [False, True, False])
-        p = normalize(points, lw)
+        p = normalize_on(points, lw)
         assert np.allclose(p.mass, [0.25, 0.5, 0.25], atol=0)
 
     def test_double_no_flags_identity(self):
@@ -134,7 +158,7 @@ class TestNormalizeAndDouble:
         points = np.arange(5.0)[:, None]
         lw = init_weights_empirical(points)
         lw2 = double_weights(lw, np.ones(5, dtype=bool))
-        assert np.allclose(normalize(points, lw2).mass, normalize(points, lw).mass, atol=0)
+        assert np.allclose(normalize_on(points, lw2).mass, normalize_on(points, lw).mass, atol=0)
         assert log2_weight_sum(lw2) == pytest.approx(1.0, abs=1e-12)
 
     def test_double_flag_length_mismatch(self):
@@ -146,7 +170,7 @@ class TestNormalizeAndDouble:
         points = np.arange(5.0)[:, None]
         for lw in (np.zeros(4), np.zeros(6), np.zeros((5, 1)), 0.0):
             with pytest.raises(ContractViolation):
-                normalize(points, lw)
+                normalize_on(points, lw)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_normalize_rejects_non_finite_weight(self, bad):
@@ -154,7 +178,7 @@ class TestNormalizeAndDouble:
         lw = init_weights_empirical(points)
         lw[2] = bad
         with pytest.raises(ConfigurationError):
-            normalize(points, lw)
+            normalize_on(points, lw)
 
     def test_total_tracks_doubled_mass(self):
         # W_{t+1} = W_t * (1 + doubled round mass), exactly in the log domain
@@ -176,7 +200,7 @@ class TestNormalizeAndDouble:
         n = len(dbl_counts)
         points = np.arange(float(n))[:, None]
         lw = init_weights_empirical(points) + np.asarray(dbl_counts, dtype=float)
-        assert normalize(points, lw).mass.sum() == pytest.approx(1.0, abs=1e-9)
+        assert normalize_on(points, lw).mass.sum() == pytest.approx(1.0, abs=1e-9)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -192,7 +216,7 @@ class TestNormalizeAndDouble:
         n = min(len(flags), len(raw))
         flags, raw = np.asarray(flags[:n]), np.asarray(raw[:n])
         points = np.arange(float(n))[:, None]
-        doubled = normalize(points, double_weights(np.log2(raw), flags)).mass
+        doubled = normalize_on(points, double_weights(np.log2(raw), flags)).mass
         linear = raw * np.where(flags, 2.0, 1.0)
         expected = linear / linear.sum()
         assert np.allclose(doubled, expected, rtol=1e-12)
@@ -403,7 +427,7 @@ class TestRowGroups:
         lw = np.random.default_rng(seed).uniform(-30.0, 30.0, len(pts))
         u = np.exp2(lw - lw.max())
         support, mass = unique_aggregate(pts, u / u.sum())
-        dist = normalize(pts, lw)
+        dist = normalize_on(pts, lw)
         assert same_bits(dist.support, support)
         assert same_bits(dist.mass, mass)
 

@@ -102,7 +102,7 @@ def mixture_pdf(mixture: GeneratorMixture, x) -> np.ndarray:
 
 
 def mixture_support_masses(mixture: GeneratorMixture, points) -> np.ndarray:
-    """Mean of the members' distributions restricted to a finite support."""
+    """Mean of the members' masses on a finite support; see RoundTrace.mixture_mass."""
     return sum(gen.support_masses(points) for gen in mixture.generators) / mixture.rounds
 
 
@@ -145,6 +145,8 @@ class RoundTrace:
     init_log2_weights: np.ndarray
     rounds: tuple[RoundRecord, ...]
     final_log2_total: float
+    target: DiscreteDistribution  # the run's distinct points
+    mixture_mass: np.ndarray  # the uniform mixture's masses on target.support
 
     def to_csv(self, minority_ratio=None) -> str:
         """The trace as CSV; `minority_ratio`, one value per round (e.g. from
@@ -167,27 +169,29 @@ class RoundTrace:
         return max(r.tv_gen_vs_pt for r in self.rounds)
 
 
-def _run(points: np.ndarray, lw: np.ndarray, cfg: BoostConfig, step):
+def _run(target: DiscreteDistribution, label, lw: np.ndarray, cfg: BoostConfig, step):
     """The multiplicative-weights loop both modes share.
 
-    The weight state is `lw`, the samples' log2 weights beside the fixed
-    `points`; both inits give a total weight of exactly 1, so log2 W_1 = 0.
-    The points are grouped once, and each round normalizes the weights over
-    that grouping into the round distribution p_t, calls
-    ``step(t, lw, p_t)`` for the fitted generator, the per-sample doubling
-    flags and any extra RoundRecord fields, records the round, and doubles
-    the flagged weights. A new total more than 1e-9 off the invariant
-    log2 W_{t+1} = log2 W_t + log2(1 + eps_t), with eps_t = P_t(doubled),
-    raises.
+    The weight state is `lw`, the samples' log2 weights; sample i is the
+    point ``target.support[label[i]]`` (as from `group_points`). Both inits
+    give a total weight of exactly 1, so log2 W_1 = 0. Each round normalizes
+    the weights into the round distribution p_t, calls ``step(t, lw, p_t)``
+    for the fitted generator, its masses on `target.support`, the doubling
+    flags and any extra RoundRecord fields, records the round, adds the
+    masses into a running sum, and doubles the flagged weights. A new total
+    more than 1e-9 off the invariant log2 W_{t+1} = log2 W_t +
+    log2(1 + eps_t), with eps_t = P_t(doubled), raises.
     """
-    grouped, label = group_points(points)
     init_log2_weights = lw
     log2_total = 0.0
+    mass_sum = np.zeros(target.size)
     generators = []
     records = []
     for t in range(1, cfg.rounds + 1):
-        p_t = normalize(grouped, label, lw)
-        gen, flags, extra = step(t, lw, p_t)
+        p_t = normalize(target, label, lw)
+        gen, g_mass, flags, extra = step(t, lw, p_t)
+        mass_sum += g_mass
+        del g_mass  # not alive through the next round
         records.append(
             RoundRecord(
                 round=t,
@@ -209,6 +213,7 @@ def _run(points: np.ndarray, lw: np.ndarray, cfg: BoostConfig, step):
         init_log2_weights=init_log2_weights,
         rounds=tuple(records),
         final_log2_total=log2_total,
+        target=target, mixture_mass=mass_sum / cfg.rounds,
     )
     return GeneratorMixture(tuple(generators)), trace
 
@@ -238,22 +243,20 @@ def run_exact(target: DiscreteDistribution, cfg: BoostConfig):
             raise BoostRunError(t, f"generator fit failed: {exc}") from exc
         flags = g_mass < cfg.delta * target.mass
         tv = tv_discrete(target.with_mass(g_mass), p_t)
-        return gen, flags, {"tv_gen_vs_pt": tv}
+        return gen, g_mass, flags, {"tv_gen_vs_pt": tv}
 
-    return _run(target.support, init_weights_exact(target), cfg, step)
+    return _run(target, np.arange(target.size), init_weights_exact(target), cfg, step)
 
 
-def _measured_tv(gen: WeakGenerator, p_hat: DiscreteDistribution) -> float:
+def _measured_tv(gen: WeakGenerator, p_hat: DiscreteDistribution, g_mass) -> float:
     """Per-round TV between the fitted generator and the round distribution.
 
     Histograms compare bin masses (their native discretization); other
-    generators compare their support-renormalized masses, which is a proxy
-    and labeled as such in the docs.
+    generators compare `g_mass`, their support-renormalized masses on
+    p_hat's support, which is a proxy and labeled as such in the docs.
     """
     if isinstance(gen, HistogramGenerator):
-        data_bins = gen.bin_masses_of(p_hat)
-        return 0.5 * float(np.abs(gen.bin_mass - data_bins).sum())
-    g_mass = gen.support_masses(p_hat.support)
+        return 0.5 * float(np.abs(gen.bin_mass - gen.bin_masses_of(p_hat)).sum())
     return tv_discrete(p_hat.with_mass(g_mass), p_hat)
 
 
@@ -318,7 +321,11 @@ def run_empirical(points, cfg: BoostConfig, exact_target_pdf=None, discriminator
         except Exception as exc:  # noqa: BLE001
             raise BoostRunError(t, f"discriminator training failed: {exc}") from exc
         flags = empirical_cover_test(disc, pts, lw, cfg.delta)
-        extra = {"tv_gen_vs_pt": _measured_tv(gen, p_hat)}
+        try:  # after the cover test, so these (n,) masses are not alive through it
+            g_mass = gen.support_masses(p_hat.support)
+        except Exception as exc:  # noqa: BLE001
+            raise BoostRunError(t, f"generator fit failed: {exc}") from exc
+        extra = {"tv_gen_vs_pt": _measured_tv(gen, p_hat, g_mass)}
         if exact_target_pdf is not None:
             covered = gen.pdf(pts) >= cfg.delta * p_vals
             np.add(kept, ~flags, out=kept)
@@ -328,6 +335,6 @@ def run_empirical(points, cfg: BoostConfig, exact_target_pdf=None, discriminator
                 kept > 0, np.minimum(1.0, truly_covered / np.maximum(kept, 1)), 1.0
             )
             extra["lambda_min"] = float(lam.min())
-        return gen, flags, extra
+        return gen, g_mass, flags, extra
 
-    return _run(pts, init_weights_empirical(pts), cfg, step)
+    return _run(*group_points(pts), init_weights_empirical(pts), cfg, step)

@@ -28,7 +28,6 @@ from .boost import (
     BoostConfig,
     BoostRunError,
     mixture_sample,
-    mixture_support_masses,
     run_empirical,
     run_exact,
 )
@@ -158,7 +157,9 @@ def _build_dataset(spec: dict):
         return Dataset(points, mode_ids, None, None)
     try:
         return make_dataset(kind, seed=spec.get("seed", 0), **spec.get("params", {}))
-    except TypeError as exc:
+    except ConfigurationError:
+        raise
+    except (TypeError, ValueError) as exc:
         raise ConfigurationError(f"dataset {kind!r} params: {exc}") from exc
 
 
@@ -198,10 +199,8 @@ def cmd_boost(args) -> int:
         method = "exact_support"
     else:
         mixture, trace = run_empirical(points, cfg)
-        # built after the loop, so its support is not alive through it
-        target = uniform_on(points)
         method = "support_renormalized"
-    report = coverage_report(mixture_support_masses(mixture, target.support), target)
+    report = coverage_report(trace.mixture_mass, trace.target)
 
     mode_cov = None
     if centers is not None and data.mode_var is not None and "eval" in config:

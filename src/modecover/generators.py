@@ -119,9 +119,8 @@ class HistogramGenerator(WeakGenerator):
 
     def bin_masses_of(self, dist: DiscreteDistribution) -> np.ndarray:
         """Project a discrete distribution onto this generator's bins."""
-        out = np.zeros(self.grid.n_cells)
-        np.add.at(out, self.grid.locate(dist.support), dist.mass)
-        return out
+        cells = self.grid.locate(dist.support)
+        return np.bincount(cells, weights=dist.mass, minlength=self.grid.n_cells)
 
     def to_config(self) -> dict:
         out = {

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .boost import BoostConfig, mixture_support_masses, run_exact
+from .boost import BoostConfig, run_exact
 from .bounds import coverage_guarantee, single_round_cover_bound
 from .core import (
     ContractViolation, DiscreteDistribution, double_weights, log2_weight_sum, relative_weights
@@ -225,7 +225,7 @@ def check_mixture_cover_exhaustive(
             seed=int(rng.integers(2**32)),
         )
         mixture, trace = run_exact(target, cfg)
-        g_star = mixture_support_masses(mixture, target.support)
+        g_star = trace.mixture_mass
         p_sub = _all_subset_masses(target.mass)
         g_sub = _all_subset_masses(g_star)
         qualifying = p_sub >= mass_lb

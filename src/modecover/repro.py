@@ -237,8 +237,8 @@ def sine_run(seed: int):
     )
     mixture, trace = run_empirical(points, cfg)
 
-    data_bins = np.zeros(grid.n_cells)
-    np.add.at(data_bins, grid.locate(points), 1.0 / len(points))
+    share = np.full(len(points), 1.0 / len(points))
+    data_bins = np.bincount(grid.locate(points), weights=share, minlength=grid.n_cells)
     mix_bins = np.mean([g.bin_mass for g in mixture.generators], axis=0)
     minor_cells = grid.locate(points[minor_idx])
     minor_ratios = mix_bins[minor_cells] / data_bins[minor_cells]

@@ -17,6 +17,7 @@ from modecover import (
     HistogramGenerator,
     KdeGenerator,
     exact_discriminator,
+    group_points,
     init_weights_empirical,
     mixture_pdf,
     mixture_sample,
@@ -338,10 +339,10 @@ class TestGroupOnce:
 
         def step(t, lw, p_t):
             seen.append((lw, p_t))
-            return None, rng.random(len(points)) < 0.3, {}
+            return None, p_t.mass, rng.random(len(points)) < 0.3, {}
 
         cfg = BoostConfig(generator=KdeGenerator(bandwidth=0.5), rounds=8)
-        boost._run(points, init_weights_empirical(points), cfg, step)
+        boost._run(*group_points(points), init_weights_empirical(points), cfg, step)
         assert len(seen) == 8
         assert len({lw.tobytes() for lw, _ in seen}) > 1
         for lw, p_t in seen:
@@ -368,6 +369,83 @@ class TestGroupOnce:
         _, trace = run_empirical(points, cfg, discriminator_factory=lambda *_: ideal)
         assert len(trace.rounds) == 4
         assert sum(calls) == 1
+
+
+def signed_zero_multiset(seed):
+    """2-D samples with repeated rows, and rows equal to others except for
+    the sign of a zero."""
+    rng = np.random.default_rng(seed)
+    base = rng.normal(0, 1, (120, 2))
+    base[:4, 0] = 0.0
+    base[4:8] = base[:4]
+    base[4:8, 0] = -0.0
+    return base[rng.integers(0, len(base), 300)]
+
+
+class TestLoopMixture:
+    """The loop's running sum is the mixture's masses on the run's support."""
+
+    def test_exact_mixture_mass_is_members_mean(self):
+        rng = np.random.default_rng(3)
+        target = DiscreteDistribution(np.arange(8.0)[:, None], rng.dirichlet(np.ones(8)))
+        cfg = BoostConfig(
+            generator=AdversarialCoverageGenerator(gamma=0.1), rounds=12, delta=0.25, seed=3
+        )
+        mixture, trace = run_exact(target, cfg)
+        assert trace.target is target
+        want = mixture_support_masses(mixture, target.support)
+        assert trace.mixture_mass.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize(
+        "generator",
+        [
+            GmmGenerator(k=3),
+            HistogramGenerator(grid=GridSpec([-3.0, -3.0], [3.0, 3.0], 8)),
+            KdeGenerator(bandwidth=0.5),
+        ],
+        ids=["gmm", "histogram", "kde"],
+    )
+    def test_empirical_mixture_mass_is_members_mean(self, generator):
+        points = signed_zero_multiset(5)
+        cfg = BoostConfig(
+            generator=generator, rounds=4, delta=0.25, seed=5, disc_sample_size=256
+        )
+        mixture, trace = run_empirical(points, cfg)
+        want = uniform_on(points)
+        assert want.size < len(points)
+        assert trace.target.support.tobytes() == want.support.tobytes()
+        assert trace.target.mass.tobytes() == want.mass.tobytes()
+        masses = mixture_support_masses(mixture, want.support)
+        assert trace.mixture_mass.tobytes() == masses.tobytes()
+
+    def test_exact_run_does_not_regroup(self, monkeypatch):
+        target = uniform_on(np.arange(8.0)[:, None])
+        calls = []
+
+        def counting(rows):
+            calls.append(len(rows))
+            return row_groups(rows)
+
+        monkeypatch.setattr(core, "row_groups", counting)
+        cfg = BoostConfig(
+            generator=AdversarialCoverageGenerator(gamma=0.1), rounds=6, delta=0.25, seed=1
+        )
+        _, trace = run_exact(target, cfg)
+        assert len(trace.rounds) == 6
+        assert calls == []
+
+    def test_zero_density_on_every_point_stops_the_round(self):
+        # every sample lies outside the grid's box, where the histogram's
+        # density is 0, so its masses on the samples cannot be normalized
+        points = np.random.default_rng(2).uniform(5.0, 6.0, (50, 1))
+        cfg = BoostConfig(
+            generator=HistogramGenerator(grid=GridSpec([0.0], [1.0], 4)),
+            rounds=2,
+            delta=0.25,
+            disc_sample_size=64,
+        )
+        with pytest.raises(BoostRunError, match="round 1: generator fit failed"):
+            run_empirical(points, cfg)
 
 
 class TestMixture:

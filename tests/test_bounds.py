@@ -22,6 +22,7 @@ from modecover import (
     mode_coverage_count,
     noisy_coverage_guarantee,
     single_round_cover_bound,
+    uniform_on,
     worst_subset,
 )
 from modecover.boost import RoundRecord, RoundTrace
@@ -294,6 +295,8 @@ def _trace_with_flags(n, flag_rounds):
         init_log2_weights=init,
         rounds=tuple(records),
         final_log2_total=float(lw.max() + math.log2(np.sum(np.exp2(lw - lw.max())))),
+        target=uniform_on(np.arange(float(n))),
+        mixture_mass=np.full(n, 1.0 / n),
     )
 
 

@@ -133,6 +133,9 @@ class TestBoostCommand:
         ({"kind": "gauss_grid", "params": {"n": -2}}, None),
         ({"kind": "grid_isolated", "params": {"n": -1}}, None),
         ({"kind": "sine", "params": {"n_major": 5, "ratio": -1}}, None),
+        ({"kind": "sine", "params": {"n_major": 500, "minor_center": [1, 2, 3]}}, None),
+        ({"kind": "sine", "params": {"n_major": 500, "minor_center": "ab"}}, None),
+        ({"kind": "gauss_grid", "params": {"n": 50, "region": -1}}, None),
     ],
     ids=[
         "bad_coordinate",
@@ -142,6 +145,9 @@ class TestBoostCommand:
         "negative_n_gauss_grid",
         "negative_n_grid_isolated",
         "negative_ratio",
+        "minor_center_wrong_length",
+        "minor_center_string",
+        "negative_region",
     ],
 )
 def test_malformed_dataset_exits_one(tmp_path, capsys, dataset, csv_text):
@@ -261,6 +267,39 @@ def test_broken_weight_invariant_exits_three(tmp_path, capsys, monkeypatch):
     )
     assert main(["boost", "--config", str(cfg)]) == 3
     assert capsys.readouterr().err.startswith("run failed: round 1: log2 W_t+1")
+
+
+def test_empirical_boost_groups_samples_once(tmp_path, monkeypatch):
+    from modecover import core
+    from modecover.synthdata import make_dataset
+
+    cfg = write_config(tmp_path)
+    dataset = json.loads(cfg.read_text())["dataset"]
+    points = make_dataset(dataset["kind"], seed=dataset["seed"], **dataset["params"]).points
+    row_groups = core.row_groups
+    calls = []
+
+    def counting(rows):
+        calls.append(rows.shape == points.shape and np.array_equal(rows, points))
+        return row_groups(rows)
+
+    monkeypatch.setattr(core, "row_groups", counting)
+    assert main(["boost", "--config", str(cfg)]) == 0
+    assert sum(calls) == 1
+
+
+def test_reports_without_evaluating_members_again(tmp_path, monkeypatch):
+    from modecover import boost, oracles
+
+    def refuse(mixture, points):
+        raise AssertionError("mixture members evaluated again after the loop")
+
+    # every module-level binding, so a caller that imported the name is caught
+    for module in (boost, cli, oracles):
+        if hasattr(module, "mixture_support_masses"):
+            monkeypatch.setattr(module, "mixture_support_masses", refuse)
+    assert main(["boost", "--config", str(write_config(tmp_path))]) == 0
+    assert main(["verify", "theorem1", "--trials", "3"]) == 0
 
 
 class TestJsonWriter:

@@ -48,6 +48,21 @@ class TestHistogram:
         gen = HistogramGenerator(grid=grid, alpha=0.0).fit(train)
         assert np.allclose(gen.bin_mass, gen.bin_masses_of(train), atol=0)
 
+    def test_bin_masses_bit_identical_to_add_at(self):
+        # both add each cell's masses in index order, starting from +0.0
+        grid = GridSpec([0.0, 0.0], [1.0, 1.0], 4)
+        rng = np.random.default_rng(9)
+        for _ in range(50):
+            # many points per cell; the grid's upper half stays empty
+            support = rng.random((40, 2)) * [1.0, 0.5]
+            weights = np.exp(rng.uniform(-50.0, 50.0, 40))
+            dist = DiscreteDistribution(support, weights / weights.sum())
+            want = np.zeros(grid.n_cells)
+            np.add.at(want, grid.locate(dist.support), dist.mass)
+            assert (want == 0.0).any()
+            got = HistogramGenerator(grid=grid).bin_masses_of(dist)
+            assert got.tobytes() == want.tobytes()
+
     def test_alpha_floor(self):
         grid = GridSpec([0.0], [1.0], 10)
         train = uniform_on([[0.05]])

@@ -1,0 +1,76 @@
+"""Digest every output of the benchmark workloads' CLI calls, to check that
+a change leaves the program's outputs byte-identical.
+
+Run from any directory:
+
+    python tools/output_digest.py TREE SEED_CERT SEED_SPIRAL SEED_400K > out.json
+
+It imports `modecover` from TREE/src and the workloads from TREE/perfbench
+(whose `prepare` is only called, never changed), then runs every CLI call of
+sine-40k-certify, spiral-gmm and sine-400k, with the three seeds in that
+order, in this process. It prints JSON keyed by workload and call: a sha256
+of the call's stdout, its exit code, and a sha256 of each file it wrote
+except meta.json, which holds a timestamp. Run it on two trees in the same
+environment and compare the outputs with `diff`.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import importlib
+import io
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+WORKLOADS = ("sine-40k-certify", "spiral-gmm", "sine-400k")
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def digest_tree(tree: Path, seeds: list[int]) -> dict:
+    sys.path[:0] = [str(tree / "src"), str(tree / "perfbench")]
+    cli = importlib.import_module("modecover.cli")
+    package = Path(sys.modules["modecover"].__file__).resolve()
+    if (tree / "src").resolve() not in package.parents:
+        raise SystemExit(f"imported {package}, not {tree / 'src'}")
+    from workloads import WORKLOADS as ALL
+
+    out = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, seed in zip(WORKLOADS, seeds, strict=True):
+            work_dir = Path(tmp) / name
+            work_dir.mkdir()
+            for i, call in enumerate(ALL[name].prepare(seed, work_dir)):
+                out_dir = work_dir / f"out{i}"
+                stdout = io.StringIO()
+                with contextlib.redirect_stdout(stdout):
+                    code = cli.main([*call.argv, "--out", str(out_dir)])
+                files = {
+                    path.relative_to(out_dir).as_posix(): _sha256(path.read_bytes())
+                    for path in sorted(out_dir.rglob("*"))
+                    if path.is_file() and path.name != "meta.json"
+                }
+                out[f"{name}/{i} {' '.join(call.argv[:2])}"] = {
+                    "exit_code": code,
+                    "stdout": _sha256(stdout.getvalue().encode()),
+                    "files": files,
+                }
+    return out
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 4:
+        print(__doc__, file=sys.stderr)
+        return 2
+    digest = digest_tree(Path(argv[0]), [int(s) for s in argv[1:]])
+    print(json.dumps(digest, indent=2, sort_keys=True))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -32,7 +32,6 @@ from .core import (
     log2_weight_sum,
     normalize,
     relative_weights,
-    uniform_on,
 )
 from .discriminator import DiscriminatorSpec, empirical_cover_test, train_discriminator
 from .divergences import tv_discrete
@@ -307,7 +306,7 @@ def run_empirical(points, cfg: BoostConfig, exact_target_pdf=None, discriminator
         try:
             # the resample is a temporary, so it is freed once the fit returns
             gen = cfg.generator.fit(
-                uniform_on(p_hat.sample(n, round_rng_seed(cfg.seed, t, "resample"))),
+                p_hat.resample(n, round_rng_seed(cfg.seed, t, "resample")),
                 round_rng_seed(cfg.seed, t, "fit"),
             )
         except Exception as exc:  # noqa: BLE001

@@ -108,13 +108,74 @@ def _json_sanitize(value):
     return value
 
 
+# floats per write when `_write_json` writes a list of floats
+_FLOAT_CHUNK = 8192
+
+
+def _float_texts(values) -> list[str]:
+    """json's text of each float of `values`; a repeated value is looked up,
+    not formatted again. A zero is always formatted, because -0.0 == 0.0.
+
+    It makes Python objects only. Numpy temporaries, made and freed for
+    every chunk, fragment the heap of a process that writes one report after
+    another: on sine-400k its peak RSS rose by about 1 MB per report before
+    it levelled off 6 MB higher.
+    """
+    seen = {}
+    texts = []
+    for v in values:
+        text = seen.get(v) if v else None
+        if text is None:
+            # json writes a finite float as float.__repr__ does
+            text = float.__repr__(v) if math.isfinite(v) else json.dumps(v)
+            seen[v] = text
+        texts.append(text)
+    return texts
+
+
+def _write_json(fh, value, pad: str = "") -> None:
+    """Write `value` into `fh` as ``json.dumps(value, indent=2,
+    sort_keys=True)`` writes it, `pad` being its line's indent.
+
+    Dicts and lists are written an item at a time, every other value by
+    `json.dumps`. A list whose elements are all exactly `float` is written
+    `_FLOAT_CHUNK` rows at a time, by `_float_texts`, so its memory is that
+    of one chunk's text.
+    """
+    inner = pad + "  "
+    if isinstance(value, dict) and value:
+        sep = "{\n"
+        for key, item in sorted(value.items()):
+            # a non-str key is spelled as json spells it, or refused as json refuses it
+            name = json.dumps(key) if isinstance(key, str) else json.dumps({key: None})[1:-7]
+            fh.write(f"{sep}{inner}{name}: ")
+            _write_json(fh, item, inner)
+            sep = ",\n"
+        fh.write(f"\n{pad}}}")
+    elif isinstance(value, (list, tuple)) and value:
+        sep = ",\n" + inner
+        fh.write("[\n" + inner)
+        if set(map(type, value)) == {float}:
+            for i in range(0, len(value), _FLOAT_CHUNK):
+                fh.write((sep if i else "") + sep.join(_float_texts(value[i : i + _FLOAT_CHUNK])))
+        else:
+            for i, item in enumerate(value):
+                if i:
+                    fh.write(sep)
+                _write_json(fh, item, inner)
+        fh.write(f"\n{pad}]")
+    else:
+        fh.write(json.dumps(value))
+
+
 def _finish(out, files: dict[str, str | dict], doc: dict) -> None:
     """Write `files` and meta.json into directory `out` when one is given,
     then print `doc` as the one-line JSON summary.
 
-    A str is written as it is. A dict is streamed into its file as indented,
-    key-sorted JSON plus a newline, the bytes of `json.dumps` with the same
-    arguments, without building the document's text in memory first.
+    A str is written as it is. A dict is streamed into its file by
+    `_write_json`, the bytes of ``json.dumps(content, indent=2,
+    sort_keys=True)`` plus a newline, without building the document's text
+    in memory first.
     """
     if out:
         out_dir = Path(out)
@@ -129,7 +190,7 @@ def _finish(out, files: dict[str, str | dict], doc: dict) -> None:
                 (out_dir / name).write_text(content)
                 continue
             with (out_dir / name).open("w") as fh:
-                json.dump(content, fh, indent=2, sort_keys=True)
+                _write_json(fh, content)
                 fh.write("\n")
     print(json.dumps(_json_sanitize(doc), sort_keys=True))
 

@@ -20,8 +20,7 @@ import numpy as np
 
 MASS_TOL = 1e-9
 
-# bytes of the (rows, k, d) difference block `sqdist` builds at a time; it
-# also sets the row blocks of `Discriminator.features`
+# bytes of the (rows, k, d) difference block `sqdist` builds at a time
 _SQDIST_BLOCK_BYTES = 16 * 2**20
 
 # exp of any argument below about -745.13 rounds to 0.0; `exp_inplace`
@@ -81,11 +80,32 @@ class DiscreteDistribution:
 
     def sample(self, count: int, seed) -> np.ndarray:
         """Draw `count` i.i.d. support points with probability `mass`."""
+        return self.support[self._draw(count, seed)]
+
+    def resample(self, count: int, seed) -> DiscreteDistribution:
+        """The uniform empirical distribution of `count` draws: bit for bit
+        ``uniform_on(self.sample(count, seed))``, from the same draws.
+
+        The support rows are distinct, so the drawn indices are the groups:
+        they are counted with one `bincount` and ordered by first draw,
+        without building or sorting the (count, d) sample.
+        """
+        idx = self._draw(count, seed)
+        if count == 0:
+            as_points(self.support[:0])  # raises what uniform_on of no rows raises
+        first = np.full(self.size, count)
+        np.minimum.at(first, idx, np.arange(count))
+        counts = np.bincount(idx, minlength=self.size)
+        drawn = np.flatnonzero(counts)
+        order = drawn[np.argsort(first[drawn])]
+        return _on_checked_support(self.support[order], counts[order] / count)
+
+    def _draw(self, count: int, seed) -> np.ndarray:
+        """`count` i.i.d. support indices with probability `mass`."""
         if count < 0:
             raise ContractViolation("count must be >= 0")
         rng = np.random.default_rng(seed)
-        idx = rng.choice(self.size, size=count, p=self.mass)
-        return self.support[idx]
+        return rng.choice(self.size, size=count, p=self.mass)
 
 
 def _checked_mass(support: np.ndarray, mass) -> np.ndarray:

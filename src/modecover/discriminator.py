@@ -9,7 +9,11 @@ takes ridge-regularized Newton steps on the full batch, with backtracking
 on the penalized loss, so a fixed seed gives bit-identical weights.
 Training needs the whole (n, K + 1) feature matrix; `predict` keeps none. It
 fills one (rows, K + 1) block at a time and keeps only the n logits, so its
-memory is the output plus one feature block and one `sqdist` block.
+memory is the output plus one feature block and that block's `sqdist`
+temporaries. A block's rows are set by a fixed byte budget (`_BLOCK_BYTES`,
+256 rows at 64 two-dimensional centers), small enough that the block stays in
+cache through the passes that turn distances into features and features into
+logits. Each row's arithmetic does not depend on the block it falls in.
 
 RBF feature values below 1e-154 are set to 0. Far from every center a
 feature underflows, and on x86 an `exp` that returns a subnormal, or a
@@ -28,7 +32,6 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .core import (
-    _SQDIST_BLOCK_BYTES,
     ConfigurationError,
     ContractViolation,
     as_points,
@@ -45,6 +48,10 @@ _CENTER_SUBSAMPLE = 4096  # cap on the pooled points for k-means and the scale m
 # which keeps the Newton Hessian's products off the subnormal slow path
 _RBF_FLOOR = 1e-154
 _RBF_ARG_MIN = float(np.log(_RBF_FLOOR)) - 1.0  # exp of it is below the floor
+# bytes of one block's distances to the basis; it sets the rows of the feature
+# blocks (256 at 64 two-dimensional centers), so that a block and its `sqdist`
+# temporaries stay in cache through the elementwise passes over it
+_BLOCK_BYTES = 2**18
 
 
 @dataclass(frozen=True)
@@ -105,11 +112,11 @@ class Discriminator:
         return np.clip(logits, self.spec.clamp, 1.0 - self.spec.clamp, out=logits)
 
     def _blocks(self) -> tuple[int, int]:
-        """(rows, K + 1): the rows of one feature block, those of `sqdist`'s
-        blocks against the centers (for the affine map, against the mean),
-        and the feature count plus the bias column."""
+        """(rows, K + 1): the rows of one feature block, `_BLOCK_BYTES` over
+        the bytes of one row's differences to the centers (for the affine
+        map, to the mean), and the feature count plus the bias column."""
         basis = self.centers if self.spec.feature_map == "rbf" else self.mean
-        return max(1, _SQDIST_BLOCK_BYTES // (8 * basis.size)), len(basis) + 1
+        return max(1, _BLOCK_BYTES // (8 * basis.size)), len(basis) + 1
 
     def _fill(self, pts: np.ndarray, out: np.ndarray) -> None:
         """Write the features of `pts` into `out`, a (len(pts), K + 1) buffer.

@@ -8,6 +8,7 @@ fitted models are safe to share across threads.
 from __future__ import annotations
 
 import itertools
+import os
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -569,11 +570,25 @@ _CONFIG_KEYS = {
 }
 
 
+def _check_cell_count(grid: GridSpec) -> None:
+    """Refuse a grid whose per-round array of cell masses cannot be made: more
+    cells than an array index reaches, or more float bytes than the
+    machine's physical memory."""
+    n_cells = int(grid.cells) ** grid.dim
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if n_cells > np.iinfo(np.intp).max or 8 * n_cells > memory:
+        raise ValueError(
+            f"{grid.cells}^{grid.dim} = {n_cells} cells; their masses need "
+            f"{8 * n_cells} bytes, against {memory} bytes of memory"
+        )
+
+
 def generator_from_config(config: dict, points) -> WeakGenerator:
     """Build an unfitted generator for the (n, d) data `points` from the
     CLI's JSON configuration; a histogram without a `grid` gets
     `bounding_grid(points, cells)`. A histogram grid or a fixed-family
-    candidate of another dimension than the data's is a configuration error."""
+    candidate of another dimension than the data's, and a histogram grid
+    with too many cells to hold their masses, are configuration errors."""
     kind = config.get("kind")
     if kind not in _CONFIG_KEYS:
         raise ConfigurationError(f"unknown generator kind {kind!r}")
@@ -590,6 +605,7 @@ def generator_from_config(config: dict, points) -> WeakGenerator:
                 kwargs["grid"] = bounding_grid(pts, cells)
             elif cells < 2:  # rejected whether or not it sizes the grid
                 raise ValueError("at least 2 cells per axis")
+            _check_cell_count(kwargs["grid"])
         for part in [kwargs["grid"]] if kind == "histogram" else kwargs.get("candidates", ()):
             if part.dim != pts.shape[1]:
                 raise ValueError(f"dimension {part.dim} is not the data's {pts.shape[1]}")

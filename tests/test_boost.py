@@ -370,6 +370,38 @@ class TestGroupOnce:
         assert len(trace.rounds) == 4
         assert sum(calls) == 1
 
+    def test_rounds_fit_on_resample_without_grouping(self, monkeypatch):
+        # `uniform_on` groups through `core.group_points`, so the counter sees
+        # it too; the one call is the run's own grouping of its samples
+        points = signed_zero_multiset(8)
+        group = core.group_points
+        calls, trains = [], []
+
+        def counting(rows):
+            calls.append(len(rows))
+            return group(rows)
+
+        class Recording(HistogramGenerator):
+            def fit(self, train, seed=None):
+                trains.append(train)
+                return super().fit(train, seed)
+
+        monkeypatch.setattr(core, "group_points", counting)
+        monkeypatch.setattr(boost, "group_points", counting)
+        grid = GridSpec([-4.0, -4.0], [4.0, 4.0], 8)
+        cfg = BoostConfig(generator=Recording(grid=grid), rounds=3, delta=0.25, seed=2)
+        ideal = exact_discriminator(np.ones(len(points)), np.ones(len(points)), points)
+        _, trace = run_empirical(points, cfg, discriminator_factory=lambda *_: ideal)
+        assert calls == [len(points)]
+        monkeypatch.setattr(core, "group_points", group)
+        lw = trace.init_log2_weights
+        for t, (train, record) in enumerate(zip(trains, trace.rounds, strict=True), start=1):
+            p_t = core.normalize(trace.target, group(points)[1], lw)
+            want = uniform_on(p_t.sample(len(points), round_rng_seed(2, t, "resample")))
+            assert train.support.tobytes() == want.support.tobytes()
+            assert train.mass.tobytes() == want.mass.tobytes()
+            lw = lw + record.doubled
+
 
 def signed_zero_multiset(seed):
     """2-D samples with repeated rows, and rows equal to others except for

@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import subprocess
@@ -7,6 +8,8 @@ from pathlib import Path
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from modecover import (
     BoostConfig,
@@ -232,6 +235,26 @@ def test_malformed_generator_exits_one(tmp_path, capsys, generator):
     assert capsys.readouterr().err.startswith("configuration error:")
 
 
+@pytest.mark.parametrize("d", [6, 12])
+def test_histogram_grid_too_large_exits_one(tmp_path, capsys, monkeypatch, d):
+    # 64^6 cells take 512 GiB of masses and 64^12 pass the index range. The
+    # machine reports 8 GiB, so no machine this runs on allocates the grid.
+    from modecover import generators, save_points_csv
+
+    sysconf = os.sysconf
+    fake = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2**21}
+    monkeypatch.setattr(generators.os, "sysconf", lambda name: fake.get(name) or sysconf(name))
+    csv_path = tmp_path / "data.csv"
+    save_points_csv(csv_path, np.random.default_rng(d).normal(size=(200, d)))
+    cfg = write_config(
+        tmp_path,
+        dataset={"kind": "csv", "path": str(csv_path)},
+        generator={"kind": "histogram", "cells": 64},
+    )
+    assert main(["boost", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err.startswith("configuration error: generator 'histogram'")
+
+
 @pytest.mark.parametrize("victim, code", [([5000], 1), ([3, 200], 1), ([199], 0)])
 def test_exact_victim_index_checked_against_support(tmp_path, capsys, victim, code):
     cfg = write_config(
@@ -302,6 +325,22 @@ def test_reports_without_evaluating_members_again(tmp_path, monkeypatch):
     assert main(["verify", "theorem1", "--trials", "3"]) == 0
 
 
+FLOATS = st.one_of(
+    st.sampled_from([float("nan"), float("inf"), -float("inf"), -0.0, 0.0, 5e-324, 1e308]),
+    st.floats(),
+)
+JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), FLOATS, st.text(), st.builds(np.float64, FLOATS)
+)
+# nested documents: str keys (non-ASCII too), empty containers, and lists of
+# floats only, or with a bool, an int or an np.float64 among the floats
+JSON_DOCS = st.recursive(
+    JSON_SCALARS | st.lists(FLOATS) | st.lists(st.one_of(FLOATS, st.booleans(), st.integers(), st.builds(np.float64, FLOATS))),
+    lambda inner: st.lists(inner) | st.dictionaries(st.text(), inner),
+    max_leaves=30,
+)
+
+
 class TestJsonWriter:
     def test_streamed_bytes_equal_dumps(self, tmp_path, capsys):
         doc = {
@@ -311,6 +350,32 @@ class TestJsonWriter:
             "negative_zero": -0.0,
             "text": "gr\u00fc\u00dfe \u2713 \U0001d11e",
         }
+        _finish(str(tmp_path), {"doc.json": doc}, {})
+        want = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        assert (tmp_path / "doc.json").read_bytes() == want.encode()
+
+    @settings(max_examples=200, deadline=None)
+    @given(JSON_DOCS)
+    @example({"ratios": [float("nan"), -0.0, 0.0, float("inf"), -float("inf"), 5e-324, 1e308]})
+    @example({"r": [1.5, np.float64(0.1), 2.5], "s": [0.5, True, 1], "t": [0.25, 3], "u": [()]})
+    @example({"i": {10: 1, 2: [0.5]}, "f": {0.5: None, -0.0: {}}, "b": {True: 1, False: 2}})
+    def test_writer_text_equals_dumps(self, doc):
+        buf = io.StringIO()
+        cli._write_json(buf, doc)
+        assert buf.getvalue() == json.dumps(doc, indent=2, sort_keys=True)
+
+    @pytest.mark.parametrize("length", [1, 3, 4, 6, 7])
+    def test_float_rows_across_chunk_edges(self, tmp_path, monkeypatch, length):
+        monkeypatch.setattr(cli, "_FLOAT_CHUNK", 3)
+        doc = {"ratios": [float(i % 2) / 3 for i in range(length)]}
+        _finish(str(tmp_path), {"doc.json": doc}, {})
+        want = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        assert (tmp_path / "doc.json").read_bytes() == want.encode()
+
+    def test_list_longer_than_one_chunk(self, tmp_path, capsys):
+        rng = np.random.default_rng(8)
+        values = rng.choice([0.1, -0.0, 2.5e-300, float("nan"), 7.0], cli._FLOAT_CHUNK + 123)
+        doc = {"a": {"ratios": values.tolist(), "n": len(values)}}
         _finish(str(tmp_path), {"doc.json": doc}, {})
         want = json.dumps(doc, indent=2, sort_keys=True) + "\n"
         assert (tmp_path / "doc.json").read_bytes() == want.encode()

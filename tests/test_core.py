@@ -444,6 +444,38 @@ class TestRowGroups:
         assert tv_discrete(uniform, q) == 0.5 * float(np.abs(pm - qm).sum())
 
 
+class TestResample:
+    """`resample` is the regrouped sample, from the same draws."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        multisets(),
+        st.lists(st.floats(-60.0, 0.0), min_size=1, max_size=8),
+        st.integers(1, 80),
+        st.integers(0, 2**32 - 1),
+    )
+    @example(np.array([[-0.0, 1.0], [2.0, 3.0], [1.0, -0.0]]), [0.0, -50.0, -1.0], 1, 7)
+    @example(np.array([[0.0], [-1.0], [-0.0]]), [0.0, -60.0], 60, 3)
+    def test_bit_identical_to_uniform_on_sample(self, pts, log2_mass, count, seed):
+        # masses 2^e with e in [-60, 0], normalized: some rows all but never drawn
+        support = uniform_on(pts).support
+        w = np.exp2(np.resize(log2_mass, len(support)))
+        dist = DiscreteDistribution(support, w / w.sum())
+        got = dist.resample(count, seed)
+        want = uniform_on(dist.sample(count, seed))
+        assert same_bits(got.support, want.support)
+        assert same_bits(got.mass, want.mass)
+
+    @pytest.mark.parametrize("count, error", [(0, ConfigurationError), (-1, ContractViolation)])
+    def test_empty_or_negative_count_raises_as_uniform_on_sample(self, count, error):
+        dist = DiscreteDistribution([[0.0, 1.0], [-0.0, 2.0]], [0.5, 0.5])
+        with pytest.raises(error) as want:
+            uniform_on(dist.sample(count, 1))
+        with pytest.raises(error) as got:
+            dist.resample(count, 1)
+        assert str(got.value) == str(want.value)
+
+
 class TestGridSpec:
     def test_locate_and_volume(self):
         g = GridSpec([0.0, 0.0], [4.0, 2.0], 4)

@@ -177,6 +177,37 @@ class TestFeatures:
         assert peak < probs.nbytes + block + _SQDIST_BLOCK_BYTES + 2**20
         assert peak < len(pts) * 65 * 8  # the (n, K + 1) matrix
 
+    @pytest.mark.parametrize("d", [1, 2, 9])
+    def test_block_budget_bounds_predict_blocks(self, monkeypatch, d):
+        rng = np.random.default_rng(13)
+        centers = rng.standard_normal((64, d))
+        disc = Discriminator(
+            DiscriminatorSpec(), rng.standard_normal(65), centers, 1.0, None, None
+        )
+        pts = rng.standard_normal((5_000, d))
+        budget = discriminator._BLOCK_BYTES
+        rows = []
+        fill = Discriminator._fill
+
+        def recording(self, block_pts, out):
+            rows.append(len(out))
+            fill(self, block_pts, out)
+
+        monkeypatch.setattr(Discriminator, "_fill", recording)
+        disc.predict(pts)
+        monkeypatch.setattr(Discriminator, "_fill", fill)
+        assert sum(rows) == len(pts) and len(rows) > 1
+        assert max(rows) * 8 * centers.size <= budget
+        # memory: the probabilities, one (rows, 65) block and the distances
+        # `sqdist` writes for it, each within the budget
+        tracemalloc.start()
+        try:
+            probs = disc.predict(pts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < probs.nbytes + 4 * budget
+
     @pytest.mark.parametrize("feature_map", ["rbf", "affine"])
     @pytest.mark.parametrize("size", ["one-row", "rows"])
     def test_predict_bitwise_within_one_block(self, feature_map, size):
@@ -214,7 +245,7 @@ class TestFeatures:
         )
         _, default = run_empirical(points, cfg)
         # 100-row blocks against 64 two-dimensional centers
-        monkeypatch.setattr(discriminator, "_SQDIST_BLOCK_BYTES", 100 * 8 * 64 * 2)
+        monkeypatch.setattr(discriminator, "_BLOCK_BYTES", 100 * 8 * 64 * 2)
         _, blocked = run_empirical(points, cfg)
         assert any(0 < r.n_doubled < len(points) for r in default.rounds)
         for a, b in zip(default.rounds, blocked.rounds, strict=True):

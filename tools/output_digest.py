@@ -3,7 +3,7 @@ a change leaves the program's outputs byte-identical.
 
 Run from any directory:
 
-    python tools/output_digest.py TREE SEED_CERT SEED_SPIRAL SEED_400K > out.json
+    python tools/output_digest.py [--extra] TREE SEED_CERT SEED_SPIRAL SEED_400K > out.json
 
 It imports `modecover` from TREE/src and the workloads from TREE/perfbench
 (whose `prepare` is only called, never changed), then runs every CLI call of
@@ -12,6 +12,13 @@ order, in this process. It prints JSON keyed by workload and call: a sha256
 of the call's stdout, its exit code, and a sha256 of each file it wrote
 except meta.json, which holds a timestamp. Run it on two trees in the same
 environment and compare the outputs with `diff`.
+
+With `--extra` it also digests the writers no workload calls, under keys
+that start with `extra/`: `repro fig1`, `fig6`, `appendix-b` and `spiral`
+at their pinned seeds, a `boost` of each TREE/configs/*.json, and an
+exact-mode `boost` of a 400-point spiral against the greedy adversary. The
+workload keys stay as they are without the flag, so a digest made without
+it still compares.
 """
 
 from __future__ import annotations
@@ -32,7 +39,39 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def digest_tree(tree: Path, seeds: list[int]) -> dict:
+# an exact-mode run: distinct points, the greedy adversary as the generator
+EXACT_CONFIG = {
+    "dataset": {"kind": "spiral", "seed": 2, "params": {"n": 400}},
+    "mode": "exact",
+    "boost": {"rounds": 4, "delta": 0.25, "seed": 1},
+    "generator": {"kind": "adversarial", "gamma": 0.05},
+    "eval": {"n_samples": 2000, "frac": 0.01},
+}
+
+
+def _extra_calls(tree: Path, tmp: Path) -> dict[str, list[str]]:
+    """The `--extra` calls, keyed by their digest labels."""
+    exact = tmp / "exact.json"
+    exact.write_text(json.dumps(EXACT_CONFIG))
+    configs = [*sorted((tree / "configs").glob("*.json")), exact]
+    calls = {f"repro {name}": ["repro", name] for name in ("fig1", "fig6", "appendix-b", "spiral")}
+    calls.update({f"boost {path.name}": ["boost", "--config", str(path)] for path in configs})
+    return calls
+
+
+def _digest_call(cli, argv: list[str], out_dir: Path) -> dict:
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        code = cli.main([*argv, "--out", str(out_dir)])
+    files = {
+        path.relative_to(out_dir).as_posix(): _sha256(path.read_bytes())
+        for path in sorted(out_dir.rglob("*"))
+        if path.is_file() and path.name != "meta.json"
+    }
+    return {"exit_code": code, "stdout": _sha256(stdout.getvalue().encode()), "files": files}
+
+
+def digest_tree(tree: Path, seeds: list[int], extra: bool = False) -> dict:
     sys.path[:0] = [str(tree / "src"), str(tree / "perfbench")]
     cli = importlib.import_module("modecover.cli")
     package = Path(sys.modules["modecover"].__file__).resolve()
@@ -46,28 +85,21 @@ def digest_tree(tree: Path, seeds: list[int]) -> dict:
             work_dir = Path(tmp) / name
             work_dir.mkdir()
             for i, call in enumerate(ALL[name].prepare(seed, work_dir)):
-                out_dir = work_dir / f"out{i}"
-                stdout = io.StringIO()
-                with contextlib.redirect_stdout(stdout):
-                    code = cli.main([*call.argv, "--out", str(out_dir)])
-                files = {
-                    path.relative_to(out_dir).as_posix(): _sha256(path.read_bytes())
-                    for path in sorted(out_dir.rglob("*"))
-                    if path.is_file() and path.name != "meta.json"
-                }
-                out[f"{name}/{i} {' '.join(call.argv[:2])}"] = {
-                    "exit_code": code,
-                    "stdout": _sha256(stdout.getvalue().encode()),
-                    "files": files,
-                }
+                key = f"{name}/{i} {' '.join(call.argv[:2])}"
+                out[key] = _digest_call(cli, call.argv, work_dir / f"out{i}")
+        if extra:
+            for i, (label, argv) in enumerate(_extra_calls(tree, Path(tmp)).items()):
+                out[f"extra/{label}"] = _digest_call(cli, argv, Path(tmp) / f"extra{i}")
     return out
 
 
 def main(argv: list[str]) -> int:
+    extra = argv[:1] == ["--extra"]
+    argv = argv[1:] if extra else argv
     if len(argv) != 4:
         print(__doc__, file=sys.stderr)
         return 2
-    digest = digest_tree(Path(argv[0]), [int(s) for s in argv[1:]])
+    digest = digest_tree(Path(argv[0]), [int(s) for s in argv[1:]], extra)
     print(json.dumps(digest, indent=2, sort_keys=True))
     return 0
 

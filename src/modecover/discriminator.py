@@ -13,7 +13,12 @@ memory is the output plus one feature block and that block's `sqdist`
 temporaries. A block's rows are set by a fixed byte budget (`_BLOCK_BYTES`,
 256 rows at 64 two-dimensional centers), small enough that the block stays in
 cache through the passes that turn distances into features and features into
-logits. Each row's arithmetic does not depend on the block it falls in.
+logits. A row's features do not depend on the block it falls in. Its logit,
+one BLAS product per block, can: with more than one BLAS thread the library
+splits each block's rows among the threads, and a row's logit can move by a
+few ulp with the split. With one thread, the block rows (a multiple of
+`_ROW_ALIGN`) and the last block (never a single row) give each row the logit
+it has in one product over all rows.
 
 RBF feature values below 1e-154 are set to 0. Far from every center a
 feature underflows, and on x86 an `exp` that returns a subnormal, or a
@@ -52,6 +57,11 @@ _RBF_ARG_MIN = float(np.log(_RBF_FLOOR)) - 1.0  # exp of it is below the floor
 # blocks (256 at 64 two-dimensional centers), so that a block and its `sqdist`
 # temporaries stay in cache through the elementwise passes over it
 _BLOCK_BYTES = 2**18
+# A BLAS matrix-vector product takes its rows a few at a time and rounds a row
+# by its place in that grouping. Blocks of a multiple of this many rows keep
+# every row's place, and with it the row's logit, as in one product over all
+# rows (with one BLAS thread; more threads split the rows in their own way)
+_ROW_ALIGN = 16
 
 
 @dataclass(frozen=True)
@@ -100,10 +110,16 @@ class Discriminator:
         rows, width = self._blocks()
         buf = np.empty((min(len(pts), rows), width))
         logits = np.empty(len(pts))
-        for i in range(0, len(pts), rows):
-            block = buf[: len(pts) - i]
-            self._fill(pts[i : i + rows], block)
-            np.matmul(block, self.weights, out=logits[i : i + rows])
+        starts = list(range(0, len(pts), rows))
+        if len(starts) > 1 and len(pts) - starts[-1] == 1 and rows > _ROW_ALIGN:
+            # numpy multiplies a one-row block by a dot product, which can
+            # round its logit otherwise than a matrix-vector product does; the
+            # block before it gives up `_ROW_ALIGN` rows so that none has one
+            starts[-1] -= _ROW_ALIGN
+        for i, stop in zip(starts, [*starts[1:], len(pts)]):
+            block = buf[: stop - i]
+            self._fill(pts[i:stop], block)
+            np.matmul(block, self.weights, out=logits[i:stop])
         # 1 / (1 + exp(-logits)), clipped, each step written into `logits`
         np.negative(logits, out=logits)
         np.exp(logits, out=logits)
@@ -114,9 +130,13 @@ class Discriminator:
     def _blocks(self) -> tuple[int, int]:
         """(rows, K + 1): the rows of one feature block, `_BLOCK_BYTES` over
         the bytes of one row's differences to the centers (for the affine
-        map, to the mean), and the feature count plus the bias column."""
+        map, to the mean) and rounded down to a multiple of `_ROW_ALIGN`
+        from two multiples up, and the feature count plus the bias column."""
         basis = self.centers if self.spec.feature_map == "rbf" else self.mean
-        return max(1, _BLOCK_BYTES // (8 * basis.size)), len(basis) + 1
+        rows = max(1, _BLOCK_BYTES // (8 * basis.size))
+        if rows >= 2 * _ROW_ALIGN:
+            rows -= rows % _ROW_ALIGN
+        return rows, len(basis) + 1
 
     def _fill(self, pts: np.ndarray, out: np.ndarray) -> None:
         """Write the features of `pts` into `out`, a (len(pts), K + 1) buffer.

@@ -572,15 +572,19 @@ _CONFIG_KEYS = {
 
 def _check_cell_count(grid: GridSpec) -> None:
     """Refuse a grid whose per-round array of cell masses cannot be made: more
-    cells than an array index reaches, or more float bytes than the
-    machine's physical memory."""
+    cells than an array index reaches, or, where `os.sysconf` reports it
+    (POSIX), more float bytes than the machine's physical memory. The memory
+    bound is a heuristic: it does not see a container's memory limit."""
     n_cells = int(grid.cells) ** grid.dim
-    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    if n_cells > np.iinfo(np.intp).max or 8 * n_cells > memory:
-        raise ValueError(
-            f"{grid.cells}^{grid.dim} = {n_cells} cells; their masses need "
-            f"{8 * n_cells} bytes, against {memory} bytes of memory"
-        )
+    if n_cells > np.iinfo(np.intp).max:
+        raise ValueError(f"{grid.cells}^{grid.dim} = {n_cells} cells exceed the array index range")
+    if hasattr(os, "sysconf"):
+        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        if 8 * n_cells > memory:
+            raise ValueError(
+                f"{grid.cells}^{grid.dim} = {n_cells} cells; their masses need "
+                f"{8 * n_cells} bytes, against {memory} bytes of memory"
+            )
 
 
 def generator_from_config(config: dict, points) -> WeakGenerator:

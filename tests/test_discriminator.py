@@ -23,8 +23,8 @@ from modecover import (
     train_discriminator,
 )
 from modecover import discriminator
-from modecover.core import _SQDIST_BLOCK_BYTES, relative_weights
-from modecover.discriminator import _RBF_FLOOR
+from modecover.core import relative_weights
+from modecover.discriminator import _BLOCK_BYTES, _RBF_FLOOR
 from modecover.synthdata import make_dataset
 
 AFFINE = DiscriminatorSpec(feature_map="affine")
@@ -39,12 +39,41 @@ def predict_and_reference(feature_map, size):
     neg = rng.normal(-1.0, 2.0, (600, 2))
     spec = DiscriminatorSpec(feature_map=feature_map)
     disc = train_discriminator(pos, neg, spec, seed=4)
-    basis = disc.centers if feature_map == "rbf" else disc.mean
-    rows = _SQDIST_BLOCK_BYTES // (8 * basis.size)
+    rows = disc._blocks()[0]
     pts = rng.normal(0.0, 3.0, ({"one-row": 1, "rows": rows, "rows+1": rows + 1}[size], 2))
     logits = disc.features(pts) @ disc.weights
     want = np.clip(1.0 / (1.0 + np.exp(-logits)), spec.clamp, 1.0 - spec.clamp)
     return disc.predict(pts), want
+
+
+def blocked_and_one_shot(d):
+    """`predict` on 3 blocks plus one row of d-dimensional points against 64
+    centers, and the same probabilities from the full feature matrix."""
+    rng = np.random.default_rng(d)
+    disc = Discriminator(
+        DiscriminatorSpec(), rng.standard_normal(65), rng.standard_normal((64, d)), 1.3, None, None
+    )
+    pts = rng.standard_normal((3 * disc._blocks()[0] + 1, d))
+    want = np.clip(1.0 / (1.0 + np.exp(-(disc.features(pts) @ disc.weights))), 1e-6, 1.0 - 1e-6)
+    return disc.predict(pts), want
+
+
+def mismatches_with_one_blas_thread(call: str) -> str:
+    """The count of unequal bit patterns in the (got, want) pair that `call`,
+    a function of this module, returns in a process with one BLAS thread."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    env.update(dict.fromkeys(BLAS_THREAD_VARS, "1"))
+    code = (
+        "import numpy as np\n"
+        "import test_discriminator as t\n"
+        f"got, want = t.{call}\n"
+        "print(int(np.count_nonzero(got.view(np.int64) != want.view(np.int64))))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        cwd=Path(__file__).parent, env=env, capture_output=True, text=True, check=True,
+    )
+    return out.stdout.strip()
 
 
 class TestTraining:
@@ -127,7 +156,7 @@ class TestFeatures:
         disc = train_discriminator(pos, neg, spec, seed=4)
         pts = rng.normal(0.0, 3.0, (20_500, 2))
         if spec.feature_map == "rbf":  # more than one row block
-            assert len(pts) > _SQDIST_BLOCK_BYTES // (8 * disc.centers.size)
+            assert len(pts) > disc._blocks()[0]
         want = self.concatenated(disc, pts)
         assert np.array_equal(disc.features(pts), want)
         probs = np.clip(1.0 / (1.0 + np.exp(-(want @ disc.weights))), 1e-6, 1.0 - 1e-6)
@@ -158,7 +187,7 @@ class TestFeatures:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < phi.nbytes + _SQDIST_BLOCK_BYTES + 2**20
+        assert peak < phi.nbytes + _BLOCK_BYTES + 2**20
 
     def test_predict_peak_memory_is_logits_plus_one_block(self):
         rng = np.random.default_rng(12)
@@ -167,14 +196,14 @@ class TestFeatures:
             DiscriminatorSpec(), rng.standard_normal(65), centers, 1.0, None, None
         )
         pts = rng.standard_normal((200_000, 2))
-        block = (_SQDIST_BLOCK_BYTES // (8 * centers.size)) * 65 * 8
+        block = (_BLOCK_BYTES // (8 * centers.size)) * 65 * 8
         tracemalloc.start()
         try:
             probs = disc.predict(pts)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < probs.nbytes + block + _SQDIST_BLOCK_BYTES + 2**20
+        assert peak < probs.nbytes + block + _BLOCK_BYTES + 2**20
         assert peak < len(pts) * 65 * 8  # the (n, K + 1) matrix
 
     @pytest.mark.parametrize("d", [1, 2, 9])
@@ -221,19 +250,17 @@ class TestFeatures:
         # product can depend on how the library splits the rows among the
         # threads (1 ulp in one logit of 16,385 with 2 OpenBLAS threads), so
         # the comparison runs in a process with one BLAS thread.
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
-        env.update(dict.fromkeys(BLAS_THREAD_VARS, "1"))
-        code = (
-            "import numpy as np\n"
-            "from test_discriminator import predict_and_reference\n"
-            f"got, want = predict_and_reference({feature_map!r}, 'rows+1')\n"
-            "print(int(np.count_nonzero(got.view(np.int64) != want.view(np.int64))))\n"
-        )
-        out = subprocess.run(
-            [sys.executable, "-c", code],
-            cwd=Path(__file__).parent, env=env, capture_output=True, text=True, check=True,
-        )
-        assert out.stdout.strip() == "0"
+        call = f"predict_and_reference({feature_map!r}, 'rows+1')"
+        assert mismatches_with_one_blas_thread(call) == "0"
+
+    @pytest.mark.parametrize("d", [3, 5])
+    def test_predict_bitwise_with_unaligned_budget_rows(self, d):
+        # The budget gives 170 and 102 rows here, which the BLAS kernel's
+        # grouping of rows does not divide; the blocks are rounded down to
+        # a multiple of `_ROW_ALIGN` rows, so that with one BLAS thread the
+        # blocked logits still equal those of one product over all rows
+        assert _BLOCK_BYTES // (8 * 64 * d) % discriminator._ROW_ALIGN
+        assert mismatches_with_one_blas_thread(f"blocked_and_one_shot({d})") == "0"
 
     def test_run_with_small_blocks_keeps_every_decision(self, monkeypatch):
         points = make_dataset("spiral", seed=5, n=2000).points

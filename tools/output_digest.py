@@ -3,22 +3,19 @@ a change leaves the program's outputs byte-identical.
 
 Run from any directory:
 
-    python tools/output_digest.py [--extra] TREE SEED_CERT SEED_SPIRAL SEED_400K > out.json
+    python tools/output_digest.py TREE SEED_CERT SEED_SPIRAL SEED_400K > out.json
 
 It imports `modecover` from TREE/src and the workloads from TREE/perfbench
 (whose `prepare` is only called, never changed), then runs every CLI call of
 sine-40k-certify, spiral-gmm and sine-400k, with the three seeds in that
 order, in this process. It prints JSON keyed by workload and call: a sha256
 of the call's stdout, its exit code, and a sha256 of each file it wrote
-except meta.json, which holds a timestamp. Run it on two trees in the same
-environment and compare the outputs with `diff`.
-
-With `--extra` it also digests the writers no workload calls, under keys
-that start with `extra/`: `repro fig1`, `fig6`, `appendix-b` and `spiral`
-at their pinned seeds, a `boost` of each TREE/configs/*.json, and an
-exact-mode `boost` of a 400-point spiral against the greedy adversary. The
-workload keys stay as they are without the flag, so a digest made without
-it still compares.
+except meta.json, which holds a timestamp. It also digests the writers no
+workload calls, under keys that start with `extra/`: `repro fig1`, `fig6`,
+`appendix-b` and `spiral` at their pinned seeds, a `boost` of each
+TREE/configs/*.json, and an exact-mode `boost` of a 400-point spiral against
+the greedy adversary. Run it on two trees in the same environment and
+compare the outputs with `diff`.
 """
 
 from __future__ import annotations
@@ -50,7 +47,7 @@ EXACT_CONFIG = {
 
 
 def _extra_calls(tree: Path, tmp: Path) -> dict[str, list[str]]:
-    """The `--extra` calls, keyed by their digest labels."""
+    """The calls no workload makes, keyed by their digest labels."""
     exact = tmp / "exact.json"
     exact.write_text(json.dumps(EXACT_CONFIG))
     configs = [*sorted((tree / "configs").glob("*.json")), exact]
@@ -71,7 +68,7 @@ def _digest_call(cli, argv: list[str], out_dir: Path) -> dict:
     return {"exit_code": code, "stdout": _sha256(stdout.getvalue().encode()), "files": files}
 
 
-def digest_tree(tree: Path, seeds: list[int], extra: bool = False) -> dict:
+def digest_tree(tree: Path, seeds: list[int]) -> dict:
     sys.path[:0] = [str(tree / "src"), str(tree / "perfbench")]
     cli = importlib.import_module("modecover.cli")
     package = Path(sys.modules["modecover"].__file__).resolve()
@@ -87,19 +84,16 @@ def digest_tree(tree: Path, seeds: list[int], extra: bool = False) -> dict:
             for i, call in enumerate(ALL[name].prepare(seed, work_dir)):
                 key = f"{name}/{i} {' '.join(call.argv[:2])}"
                 out[key] = _digest_call(cli, call.argv, work_dir / f"out{i}")
-        if extra:
-            for i, (label, argv) in enumerate(_extra_calls(tree, Path(tmp)).items()):
-                out[f"extra/{label}"] = _digest_call(cli, argv, Path(tmp) / f"extra{i}")
+        for i, (label, argv) in enumerate(_extra_calls(tree, Path(tmp)).items()):
+            out[f"extra/{label}"] = _digest_call(cli, argv, Path(tmp) / f"extra{i}")
     return out
 
 
 def main(argv: list[str]) -> int:
-    extra = argv[:1] == ["--extra"]
-    argv = argv[1:] if extra else argv
     if len(argv) != 4:
         print(__doc__, file=sys.stderr)
         return 2
-    digest = digest_tree(Path(argv[0]), [int(s) for s in argv[1:]], extra)
+    digest = digest_tree(Path(argv[0]), [int(s) for s in argv[1:]])
     print(json.dumps(digest, indent=2, sort_keys=True))
     return 0
 

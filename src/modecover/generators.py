@@ -101,7 +101,11 @@ class HistogramGenerator(WeakGenerator):
     def pdf(self, x) -> np.ndarray:
         _require_fitted(self, "bin_mass")
         pts = as_points(x)
-        inside = np.all((pts >= self.grid.lo) & (pts <= self.grid.hi), axis=1)
+        # one column at a time, so every temporary is (n,) and not (n, d)
+        inside = np.ones(len(pts), dtype=bool)
+        for col, lo, hi in zip(pts.T, self.grid.lo, self.grid.hi, strict=True):
+            inside &= col >= lo
+            inside &= col <= hi
         out = np.zeros(len(pts))
         if np.any(inside):
             cells = self.grid.locate(pts[inside])
@@ -198,12 +202,38 @@ def lloyd_iterations(
 # ---------------------------------------------------------------------------
 
 
+def _posterior_mass(log_resp: np.ndarray, norm: np.ndarray, w: np.ndarray, wr: np.ndarray):
+    """The E-step's posterior mass ``w_i * P(component j | x_i)``, written
+    into `wr`, and its per-component totals.
+
+    `log_resp` is a C-ordered (k, n) array of log w_k + log N_k(x_i), which
+    this turns into the responsibilities in place, and `norm` the (n,) log
+    density; each pass runs along the n points. `wr` must be a C-ordered
+    (n, k) array, as in the point-major E-step: numpy sums each column of
+    a C-ordered array one row after another but a contiguous one pairwise,
+    and the M-step's ``wr[:, j] @ pts`` reads a strided column, so an
+    F-ordered `wr` would change the bits of every fitted parameter.
+    """
+    log_resp -= norm
+    exp_inplace(log_resp)
+    for j, resp in enumerate(log_resp):
+        np.multiply(resp, w, out=wr[:, j])
+    return wr.sum(axis=0)
+
+
 @dataclass(frozen=True)
 class GmmGenerator(WeakGenerator):
     """Mixture of k axis-aligned Gaussians fit by EM on weighted points.
 
     k-means++ seeding, best of `restarts` by final log-likelihood, variances
     floored at `var_floor` to keep degenerate clusters recoverable.
+
+    The E-step is component-major: the log densities and responsibilities
+    live in one (k, n) buffer per fit, so each elementwise pass and each
+    reduction over the k components runs along the n points instead of an
+    inner loop only k long. Every entry gets the same operations in the
+    same order as in the point-major (n, k) layout, so the fit, and its
+    `loglik_path`, are the same bit for bit.
     """
 
     k: int = 4
@@ -244,21 +274,22 @@ class GmmGenerator(WeakGenerator):
         pi = np.full(self.k, 1.0 / self.k)
         mu = centers
         path = []
+        # buffers reused by every iteration; see `_posterior_mass` for why
+        # `log_resp` is (k, n) and `wr` (n, k)
+        log_resp = np.empty((self.k, n))
+        wr = np.empty((n, self.k))
+        centered = np.empty((n, d))
         # one E-step per pass; the last, after max_iter M-steps or on
         # convergence, scores the final parameters, whose density is returned
         for it in itertools.count():
             model = AnalyticDensity(pi, mu, var)
-            log_resp = model.log_components(pts)
-            norm = log_sum_exp(log_resp)
+            norm = log_sum_exp(model.log_components(pts, out=log_resp.T))
             path.append(float(np.dot(w, norm)))
             if it >= self.max_iter or (
                 len(path) > 2 and abs(path[-2] - path[-3]) < _EM_TOL * (1.0 + abs(path[-3]))
             ):
                 break
-            log_resp -= norm[:, None]
-            resp = exp_inplace(log_resp)
-            wr = resp * w[:, None]  # (n, k) posterior mass
-            nk = wr.sum(axis=0)
+            nk = _posterior_mass(log_resp, norm, w, wr)
             live = nk > 1e-12
             pi = np.where(live, nk, 1e-12)
             pi = pi / pi.sum()
@@ -269,9 +300,11 @@ class GmmGenerator(WeakGenerator):
                     var[j] = np.maximum(global_var, self.var_floor)
                     continue
                 mu[j] = wr[:, j] @ pts / nk[j]
-                var[j] = np.maximum(
-                    wr[:, j] @ (pts - mu[j]) ** 2 / nk[j], self.var_floor
-                )
+                # (pts - mu[j]) ** 2, one column at a time
+                for c in range(d):
+                    np.subtract(pts[:, c], mu[j, c], out=centered[:, c])
+                np.square(centered, out=centered)
+                var[j] = np.maximum(wr[:, j] @ centered / nk[j], self.var_floor)
         return model, path
 
     def pdf(self, x) -> np.ndarray:

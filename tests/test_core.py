@@ -307,6 +307,30 @@ class TestSqdist:
             assert got.shape == (m, 4)
             assert np.array_equal(got, self.broadcast(x, y, scale))
 
+    @settings(max_examples=150, deadline=None)
+    @given(
+        m=st.integers(0, 40),
+        k=st.integers(1, 12),
+        d=st.integers(1, 9),
+        scaled=st.booleans(),
+        block_rows=st.integers(1, 50),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_out_bit_identical_to_broadcast(self, m, k, d, scaled, block_rows, seed):
+        # a C-ordered out, and the transpose of a C-ordered (k, m) buffer as
+        # the GMM E-step passes it, across row blocks of `block_rows`
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((m, d)) * 3.0
+        y = rng.standard_normal((k, d))
+        scale = rng.uniform(0.1, 2.0, size=(k, d)) if scaled else None
+        want = self.broadcast(x, y, scale)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(core, "_SQDIST_BLOCK_BYTES", block_rows * 8 * y.size)
+            for out in (np.empty((m, k)), np.empty((k, m)).T):
+                got = sqdist(x, y, scale, out=out)
+                assert got is out
+                assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
     def test_peak_memory_near_output_size(self):
         rng = np.random.default_rng(1)
         x = rng.standard_normal((200_000, 2))
@@ -489,6 +513,25 @@ class TestGridSpec:
         g = GridSpec([0.0], [1.0], 4)
         assert g.locate([[-5.0]])[0] == 0
         assert g.locate([[5.0]])[0] == 3
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        d=st.integers(1, 4),
+        cells=st.integers(2, 9),
+        n=st.integers(1, 50),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_locate_equals_ravel_multi_index(self, d, cells, n, seed):
+        # points inside the box, on its faces and far outside it
+        rng = np.random.default_rng(seed)
+        lo = rng.uniform(-5.0, 0.0, d)
+        g = GridSpec(lo, lo + rng.uniform(0.1, 5.0, d), cells)
+        pts = rng.uniform(-10.0, 10.0, (n, d))
+        pts[::3] = np.where(rng.random((len(pts[::3]), d)) < 0.5, g.lo, g.hi)
+        idx = np.floor((pts - g.lo) / ((g.hi - g.lo) / cells)).astype(int)
+        want = np.ravel_multi_index(np.clip(idx, 0, cells - 1).T, (cells,) * d)
+        got = g.locate(pts)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
 
     def test_rejects_degenerate(self):
         with pytest.raises(ConfigurationError):

@@ -46,6 +46,34 @@ def predict_and_reference(feature_map, size):
     return disc.predict(pts), want
 
 
+def concatenated_features(disc, pts):
+    """The one-shot feature formula, kept as the reference."""
+    if disc.spec.feature_map == "rbf":
+        d2 = ((pts[:, None, :] - disc.centers[None, :, :]) ** 2).sum(axis=2)
+        phi = np.exp(-d2 / (2.0 * disc.scale**2))
+        phi[phi < _RBF_FLOOR] = 0.0
+    else:
+        phi = (pts - disc.mean) / disc.std
+    return np.concatenate([phi, np.ones((len(pts), 1))], axis=1)
+
+
+def concatenate_case(feature_map):
+    """A discriminator and 20,500 points, more than one `predict` block."""
+    rng = np.random.default_rng(11)
+    pos = rng.normal(1.0, 2.0, (600, 2))
+    neg = rng.normal(-1.0, 2.0, (600, 2))
+    disc = train_discriminator(pos, neg, DiscriminatorSpec(feature_map=feature_map), seed=4)
+    return disc, rng.normal(0.0, 3.0, (20_500, 2))
+
+
+def predict_and_concatenated(feature_map):
+    """`predict` on `concatenate_case`, and the same probabilities from one
+    product of the whole concatenated feature matrix."""
+    disc, pts = concatenate_case(feature_map)
+    logits = concatenated_features(disc, pts) @ disc.weights
+    return disc.predict(pts), np.clip(1.0 / (1.0 + np.exp(-logits)), 1e-6, 1.0 - 1e-6)
+
+
 def blocked_and_one_shot(d):
     """`predict` on 3 blocks plus one row of d-dimensional points against 64
     centers, and the same probabilities from the full feature matrix."""
@@ -137,30 +165,16 @@ class TestTraining:
 
 
 class TestFeatures:
-    @staticmethod
-    def concatenated(disc, pts):
-        # the one-shot feature formula, kept as the reference
-        if disc.spec.feature_map == "rbf":
-            d2 = ((pts[:, None, :] - disc.centers[None, :, :]) ** 2).sum(axis=2)
-            phi = np.exp(-d2 / (2.0 * disc.scale**2))
-            phi[phi < _RBF_FLOOR] = 0.0
-        else:
-            phi = (pts - disc.mean) / disc.std
-        return np.concatenate([phi, np.ones((len(pts), 1))], axis=1)
-
-    @pytest.mark.parametrize("spec", [DiscriminatorSpec(), AFFINE], ids=["rbf", "affine"])
-    def test_bit_identical_to_concatenate(self, spec):
-        rng = np.random.default_rng(11)
-        pos = rng.normal(1.0, 2.0, (600, 2))
-        neg = rng.normal(-1.0, 2.0, (600, 2))
-        disc = train_discriminator(pos, neg, spec, seed=4)
-        pts = rng.normal(0.0, 3.0, (20_500, 2))
-        if spec.feature_map == "rbf":  # more than one row block
+    @pytest.mark.parametrize("feature_map", ["rbf", "affine"])
+    def test_bit_identical_to_concatenate(self, feature_map):
+        disc, pts = concatenate_case(feature_map)
+        if feature_map == "rbf":  # more than one row block
             assert len(pts) > disc._blocks()[0]
-        want = self.concatenated(disc, pts)
-        assert np.array_equal(disc.features(pts), want)
-        probs = np.clip(1.0 / (1.0 + np.exp(-(want @ disc.weights))), 1e-6, 1.0 - 1e-6)
-        assert np.array_equal(disc.predict(pts), probs)
+        assert np.array_equal(disc.features(pts), concatenated_features(disc, pts))
+        # one product against blocked ones: with more than one BLAS thread a
+        # row's logit can depend on how the library splits the rows, so the
+        # comparison runs with one BLAS thread
+        assert mismatches_with_one_blas_thread(f"predict_and_concatenated({feature_map!r})") == "0"
 
     def test_no_subnormal_or_sub_floor_feature(self):
         rng = np.random.default_rng(11)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from modecover import (
     AdversarialCoverageGenerator,
@@ -21,8 +23,10 @@ from modecover import (
     tv_discrete,
     uniform_on,
 )
-from modecover.core import sqdist
-from modecover.generators import kmeans_pp_centers, lloyd_iterations
+from modecover.boost import round_rng_seed
+from modecover.core import group_points, init_weights_empirical, log_sum_exp, normalize, sqdist
+from modecover.generators import _posterior_mass, kmeans_pp_centers, lloyd_iterations
+from modecover.synthdata import make_sine_dataset, make_spiral
 
 
 def discretized(density, lo=-20.0, hi=20.0, n=4001):
@@ -62,6 +66,22 @@ class TestHistogram:
             assert (want == 0.0).any()
             got = HistogramGenerator(grid=grid).bin_masses_of(dist)
             assert got.tobytes() == want.tobytes()
+
+    def test_pdf_bit_identical_to_all_axes_formula(self):
+        # inside means inside on every axis, faces included
+        grid = GridSpec([0.0, -1.0, 2.0], [1.0, 1.0, 3.0], 5)
+        rng = np.random.default_rng(4)
+        train = rng.uniform(0.0, 1.0, (60, 3)) * [1.0, 2.0, 1.0] + [0.0, -1.0, 2.0]
+        gen = HistogramGenerator(grid=grid).fit(uniform_on(train))
+        pts = rng.uniform(-0.5, 3.5, (3000, 3))
+        pts[:300] = np.where(rng.random((300, 3)) < 0.5, grid.lo, grid.hi)
+        inside = np.all((pts >= grid.lo) & (pts <= grid.hi), axis=1)
+        want = np.zeros(len(pts))
+        want[inside] = gen.bin_mass[grid.locate(pts[inside])] / grid.cell_volume
+        assert 0 < inside.sum() < len(pts)
+        assert gen.pdf(pts).tobytes() == want.tobytes()
+        with pytest.raises(ValueError):  # points of another dimension
+            gen.pdf(pts[:, :2])
 
     def test_alpha_floor(self):
         grid = GridSpec([0.0], [1.0], 10)
@@ -219,6 +239,98 @@ class TestGmm:
             assert len(path) == max_iter + 1
         else:
             assert len(path) < max_iter + 1
+
+    @pytest.mark.parametrize("recipe", ["sine", "spiral"])
+    def test_fit_bit_identical_on_recipe_training_sets(self, recipe):
+        # the first round's training set of the `repro sine` baseline (k = 5,
+        # about 25,400 distinct points) and of a spiral run (k = 12)
+        if recipe == "sine":
+            points, _ = make_sine_dataset(
+                40000, ratio=400, minor_center=(0.0, 10.0), minor_var=1.0, seed=11
+            )
+            k, seed = 5, 11
+        else:
+            points, k, seed = make_spiral(2000, seed=5)[0], 12, 5
+        p0 = normalize(*group_points(points), init_weights_empirical(points))
+        train = p0.resample(len(points), round_rng_seed(seed, 0, "resample"))
+        fit_seed = round_rng_seed(seed, 0, "fit")
+        gen = GmmGenerator(k=k).fit(train, fit_seed)
+        model, path = self.previous_fit(gen, train, fit_seed)
+        assert len(path) > 20
+        assert gen.loglik_path == tuple(path)
+        for attr in ("weights", "means", "variances"):
+            assert np.array_equal(getattr(gen.fitted, attr), getattr(model, attr))
+
+
+def point_major_e_step(model, pts, w):
+    """The E-step's (n, k) formulas, kept as the reference: log w_k + log
+    N_k(x_i), the log density, the responsibilities, the posterior mass and
+    its per-component totals."""
+    z2 = ((pts[:, None, :] - model.means[None, :, :]) ** 2 / model.variances).sum(axis=2)
+    lognorm = 0.5 * np.sum(np.log(2.0 * np.pi * model.variances), axis=1)
+    log_resp = np.log(model.weights)[None, :] - 0.5 * z2 - lognorm[None, :]
+    m = log_resp.max(axis=1, keepdims=True)
+    norm = m[:, 0] + np.log(np.sum(np.exp(log_resp - m), axis=1))
+    resp = np.exp(log_resp - norm[:, None])
+    wr = resp * w[:, None]
+    return log_resp, norm, resp, wr, wr.sum(axis=0)
+
+
+def assert_same_bits(got, want):
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def e_step_instance(k, d, n, spread, floored, seed):
+    """A mixture whose means are `spread` apart, and weighted points, some
+    near a mean and some far from all of them; one weight is floored at
+    1e-12, as the M-step floors a dead component, when `floored` is set.
+    Overlapping components make every term of a row's sum count; far ones
+    give exp arguments below -750."""
+    rng = np.random.default_rng(seed)
+    means = rng.normal(0.0, spread, (k, d))
+    variances = rng.uniform(0.05, 2.0, (k, d))
+    near = means[rng.integers(k, size=n)] + rng.standard_normal((n, d))
+    pts = np.where(rng.random((n, 1)) < 0.7, near, rng.normal(0.0, 300.0, (n, d)))
+    weights = rng.dirichlet(np.ones(k))
+    if floored:
+        weights[rng.integers(k)] = 1e-12
+        weights /= weights.sum()
+    return AnalyticDensity(weights, means, variances), pts, rng.dirichlet(np.ones(n))
+
+
+class TestComponentMajorEStep:
+    def test_instance_reaches_the_exp_underflow_band(self):
+        model, pts, w = e_step_instance(5, 2, 40, 30.0, True, seed=0)
+        log_resp = point_major_e_step(model, pts, w)[0]
+        assert (log_resp - log_resp.max(axis=1, keepdims=True)).min() < -750.0
+        assert model.weights.min() < 1e-11
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        k=st.integers(1, 20),
+        d=st.integers(1, 9),
+        n=st.integers(1, 60),
+        spread=st.sampled_from([1.0, 30.0]),
+        floored=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_bit_identical_to_point_major(self, k, d, n, spread, floored, seed):
+        # k < 8 and k >= 8 take different sums in `log_sum_exp`, d < 8 and
+        # d >= 8 different paths in `sqdist`
+        model, pts, w = e_step_instance(k, d, n, spread, floored, seed)
+        log_resp, norm, resp, wr, nk = point_major_e_step(model, pts, w)
+        buf = np.empty((k, n))
+        assert model.log_components(pts, out=buf.T).base is buf
+        assert_same_bits(buf.T, log_resp)
+        assert_same_bits(model.log_components(pts), log_resp)
+        assert_same_bits(log_sum_exp(buf.T), norm)
+        assert_same_bits(log_sum_exp(np.ascontiguousarray(buf.T)), norm)
+        got_wr = np.empty((n, k))
+        got_nk = _posterior_mass(buf, norm, w, got_wr)
+        assert_same_bits(buf.T, resp)
+        assert_same_bits(got_wr, wr)
+        assert_same_bits(got_nk, nk)
 
 
 class TestKde:

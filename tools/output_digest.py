@@ -13,9 +13,12 @@ of the call's stdout, its exit code, and a sha256 of each file it wrote
 except meta.json, which holds a timestamp. It also digests the writers no
 workload calls, under keys that start with `extra/`: `repro fig1`, `fig6`,
 `appendix-b` and `spiral` at their pinned seeds, a `boost` of each
-TREE/configs/*.json, and an exact-mode `boost` of a 400-point spiral against
-the greedy adversary. Run it on two trees in the same environment and
-compare the outputs with `diff`.
+TREE/configs/*.json, an exact-mode `boost` of a 400-point spiral against
+the greedy adversary, and GMM `boost`s with k = 3 and k = 9 of a seeded 9-D
+CSV that this script writes. The last reach the paths no workload takes:
+`sqdist` at d >= 8 and the E-step's sums over k < 8 and k >= 8 components.
+Run it on two trees in the same environment and compare the outputs with
+`diff`.
 """
 
 from __future__ import annotations
@@ -28,6 +31,8 @@ import json
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 WORKLOADS = ("sine-40k-certify", "spiral-gmm", "sine-400k")
 
@@ -46,11 +51,34 @@ EXACT_CONFIG = {
 }
 
 
+def _gmm_9d_configs(tmp: Path) -> list[Path]:
+    """Empirical GMM runs with k = 3 and k = 9 on 600 points of four
+    9-D Gaussian clusters, written as CSV from a fixed seed."""
+    rng = np.random.default_rng(9)
+    centers = rng.normal(0.0, 4.0, (4, 9))
+    points = centers[rng.integers(4, size=600)] + rng.standard_normal((600, 9))
+    csv = tmp / "gauss9d.csv"
+    rows = [",".join(f"x{j}" for j in range(9))]
+    rows += [",".join(repr(float(v)) for v in row) for row in points]
+    csv.write_text("\n".join(rows) + "\n")
+    paths = []
+    for k in (3, 9):
+        config = {
+            "dataset": {"kind": "csv", "path": str(csv)},
+            "mode": "empirical",
+            "boost": {"rounds": 3, "delta": 0.25, "seed": 3, "disc_sample_size": 512},
+            "generator": {"kind": "gmm", "k": k},
+        }
+        paths.append(tmp / f"gmm9d-k{k}.json")
+        paths[-1].write_text(json.dumps(config))
+    return paths
+
+
 def _extra_calls(tree: Path, tmp: Path) -> dict[str, list[str]]:
     """The calls no workload makes, keyed by their digest labels."""
     exact = tmp / "exact.json"
     exact.write_text(json.dumps(EXACT_CONFIG))
-    configs = [*sorted((tree / "configs").glob("*.json")), exact]
+    configs = [*sorted((tree / "configs").glob("*.json")), exact, *_gmm_9d_configs(tmp)]
     calls = {f"repro {name}": ["repro", name] for name in ("fig1", "fig6", "appendix-b", "spiral")}
     calls.update({f"boost {path.name}": ["boost", "--config", str(path)] for path in configs})
     return calls

@@ -14,7 +14,6 @@ for rounds 1..t are unchanged by raising T.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass, replace
 
@@ -25,6 +24,7 @@ from .core import (
     ContractViolation,
     DiscreteDistribution,
     as_points,
+    csv_text,
     double_weights,
     group_points,
     init_weights_empirical,
@@ -151,17 +151,14 @@ class RoundTrace:
         """The trace as CSV; `minority_ratio`, one value per round (e.g. from
         `bounds.minority_weight_ratio`), fills that column, else it is empty."""
         shares = [None] * len(self.rounds) if minority_ratio is None else minority_ratio
-        buf = io.StringIO()
-        buf.write(
-            "round,log2_W,n_doubled,tv_gen_vs_pt,minority_ratio,"
-            "epsilon_prime,lambda_min\n"
-        )
-        for r, share in zip(self.rounds, shares, strict=True):
-            optional = (r.tv_gen_vs_pt, share, r.epsilon_prime, r.lambda_min)
-            cells = [str(r.round), repr(r.log2_total), str(r.n_doubled)]
-            cells += ["" if v is None else repr(float(v)) for v in optional]
-            buf.write(",".join(cells) + "\n")
-        return buf.getvalue()
+        header = ["round", "log2_W", "n_doubled", "tv_gen_vs_pt", "minority_ratio",
+                  "epsilon_prime", "lambda_min"]
+        rows = [
+            (r.round, r.log2_total, r.n_doubled, r.tv_gen_vs_pt, share, r.epsilon_prime,
+             r.lambda_min)
+            for r, share in zip(self.rounds, shares, strict=True)
+        ]
+        return csv_text(header, rows)
 
     @property
     def max_tv(self) -> float:

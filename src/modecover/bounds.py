@@ -112,20 +112,18 @@ class CoverageReport:
 
     psi_hat: float
     ratios: np.ndarray  # per support point, generated mass / target mass
-    worst_subset: WorstSubset | None = None
+    worst_subset: WorstSubset
 
     def to_json_dict(self) -> dict:
-        out = {
+        return {
             "psi_hat": self.psi_hat,
             "ratios": np.asarray(self.ratios, dtype=float).tolist(),
-        }
-        if self.worst_subset is not None:
-            out["worst_subset"] = {
+            "worst_subset": {
                 "indices": list(self.worst_subset.indices),
                 "ratio": self.worst_subset.ratio,
                 "mass": self.worst_subset.mass,
-            }
-        return out
+            },
+        }
 
 
 def worst_subset(ratios, masses, mass_lb: float) -> WorstSubset:
@@ -138,7 +136,7 @@ def worst_subset(ratios, masses, mass_lb: float) -> WorstSubset:
         raise ContractViolation("mass_lb must be in (0, 1]")
     ratios = np.asarray(ratios, dtype=float)
     masses = np.asarray(masses, dtype=float)
-    order = np.lexsort((np.arange(len(ratios)), ratios))
+    order = np.argsort(ratios, kind="stable")
     cum_mass = np.cumsum(masses[order])
     cum_gen = np.cumsum(ratios[order] * masses[order])
     ok = cum_mass >= mass_lb - 1e-12
@@ -153,22 +151,19 @@ def worst_subset(ratios, masses, mass_lb: float) -> WorstSubset:
     )
 
 
-def coverage_report(
-    generated_mass, target: DiscreteDistribution, mass_lb: float | None = None
-) -> CoverageReport:
-    """Per-point ratios, their minimum, and the worst qualifying subset."""
+def coverage_report(generated_mass, target: DiscreteDistribution) -> CoverageReport:
+    """Per-point ratios, their minimum, and the worst subset of at least the
+    smallest target mass."""
     gen = np.asarray(generated_mass, dtype=float)
     if gen.shape != target.mass.shape:
         raise ContractViolation("generated mass vector must match support")
     if np.any(target.mass <= 0):
         raise ContractViolation("target masses must be positive for ratios")
     ratios = gen / target.mass
-    if mass_lb is None:
-        mass_lb = float(target.mass.min())
     return CoverageReport(
         psi_hat=float(ratios.min()),
         ratios=ratios,
-        worst_subset=worst_subset(ratios, target.mass, mass_lb),
+        worst_subset=worst_subset(ratios, target.mass, float(target.mass.min())),
     )
 
 

@@ -168,9 +168,9 @@ def _write_json(fh, value, pad: str = "") -> None:
         fh.write(json.dumps(value))
 
 
-def _finish(out, files: dict[str, str | dict], doc: dict) -> None:
-    """Write `files` and meta.json into directory `out` when one is given,
-    then print `doc` as the one-line JSON summary.
+def _finish(out, files: dict[str, str | dict], doc: dict, argv: list[str]) -> None:
+    """Write `files` and meta.json, which records `argv`, into directory
+    `out` when one is given, then print `doc` as the one-line JSON summary.
 
     A str is written as it is. A dict is streamed into its file by
     `_write_json`, the bytes of ``json.dumps(content, indent=2,
@@ -183,7 +183,7 @@ def _finish(out, files: dict[str, str | dict], doc: dict) -> None:
         meta = {
             "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
             "version": __version__,
-            "argv": sys.argv[1:],
+            "argv": argv,
         }
         for name, content in {**files, "meta.json": meta}.items():
             if isinstance(content, str):
@@ -316,14 +316,14 @@ def cmd_boost(args) -> int:
         "summary.json": summary,
         "coverage_report.json": report_doc,
     }
-    _finish(args.out, files, summary)
+    _finish(args.out, files, summary, args.argv)
     return EXIT_OK
 
 
 def cmd_repro(args) -> int:
     values, files = run_recipe(args.name, args.seed)
     validate_json(values, "values")
-    _finish(args.out, {**files, "values.json": values}, values)
+    _finish(args.out, {**files, "values.json": values}, values, args.argv)
     if not values["pass"]:
         failing = [c["name"] for c in values["checks"] if not c["pass"]]
         print(f"out-of-tolerance: {', '.join(failing)}", file=sys.stderr)
@@ -349,7 +349,7 @@ def cmd_verify(args) -> int:
     report = run(trials, args.seed if args.seed is not None else 0)
     doc = report.to_json_dict()
     validate_json(doc, "oracle_report")
-    _finish(args.out, {"oracle_report.json": doc}, doc)
+    _finish(args.out, {"oracle_report.json": doc}, doc, args.argv)
     return EXIT_OK if report.ok else EXIT_VERIFY
 
 
@@ -391,11 +391,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Parse `argv` (the process's arguments when None), run its command and
+    return the exit code."""
+    argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
+    args.argv = argv
     try:
         return args.fn(args)
     except ConfigurationError as exc:

@@ -8,6 +8,9 @@ representable (its raw weight grows like 2^T). `double_weights` is the one
 doubling, an exact ``+1.0`` on the flagged exponents, and
 `relative_weights` the one normalization, a max-shifted sum that keeps
 small worked examples bit-exact.
+
+One byte budget, `_BLOCK_BYTES`, sizes every row block: those of `sqdist`,
+the one pairwise-distance kernel, and the classifier's feature blocks.
 """
 
 from __future__ import annotations
@@ -20,8 +23,10 @@ import numpy as np
 
 MASS_TOL = 1e-9
 
-# bytes of the (rows, k, d) difference block `sqdist` builds at a time
-_SQDIST_BLOCK_BYTES = 16 * 2**20
+# bytes of one block's (rows, k, d) differences, the budget `block_rows` turns
+# into rows (256 at 64 two-dimensional centers), so that a block and its
+# temporaries stay in cache through the elementwise passes over it
+_BLOCK_BYTES = 2**18
 
 # exp of any argument below about -745.13 rounds to 0.0; `exp_inplace`
 # writes -inf below this cut, whose exp is the same 0.0
@@ -135,8 +140,9 @@ def sqdist(x: np.ndarray, y: np.ndarray, scale=None, out=None) -> np.ndarray:
     [/ scale]).sum(axis=2)`` as an (m, k) array, where `scale` broadcasts
     against (k, d). They are written into `out` when one is given.
 
-    Rows of x are processed a block at a time, so memory is O(m * k) plus a
-    fixed block, and each entry is bit-identical to the full broadcast:
+    Rows of x are processed a block at a time, `block_rows(y)` rows each,
+    so memory is O(m * k) plus one block of at most `_BLOCK_BYTES`, and each
+    entry is bit-identical to the full broadcast:
 
     - d < 8: numpy sums fewer than 8 terms left to right, so the d
       column terms ``(x[:, j] - y[:, j]) ** 2 [/ scale[:, j]]`` are added
@@ -156,7 +162,7 @@ def sqdist(x: np.ndarray, y: np.ndarray, scale=None, out=None) -> np.ndarray:
     """
     if out is None:
         out = np.empty((len(x), len(y)))
-    rows = max(1, _SQDIST_BLOCK_BYTES // (8 * y.size))
+    rows = block_rows(y)
     if y.shape[1] < 8:
         if scale is not None:
             scale = np.broadcast_to(scale, y.shape)
@@ -181,6 +187,12 @@ def sqdist(x: np.ndarray, y: np.ndarray, scale=None, out=None) -> np.ndarray:
             np.divide(diff, scale, out=diff)
         diff.sum(axis=2, out=out[i : i + rows])
     return out
+
+
+def block_rows(y: np.ndarray) -> int:
+    """Rows per block against the (k, d) array `y` (or a (d,) one): the one
+    budget `_BLOCK_BYTES` over the bytes of one row's differences to it."""
+    return max(1, _BLOCK_BYTES // (8 * y.size))
 
 
 def row_groups(points: np.ndarray):
@@ -469,6 +481,16 @@ def bounding_grid(points, cells: int, pad: float = 1e-6) -> GridSpec:
     hi = pts.max(axis=0)
     span = np.maximum(hi - lo, 1e-12)
     return GridSpec(lo - pad * span, hi + pad * span, cells)
+
+
+def csv_text(header, rows) -> str:
+    """The output CSV format: a line of `header` names, then one line of
+    comma-joined cells per row, each line ending in a newline. A float cell
+    is written as ``repr(float(v))``, None as an empty cell, and any other
+    cell by `str`."""
+    text = lambda v: "" if v is None else repr(float(v)) if isinstance(v, float) else str(v)
+    lines = [",".join(header), *(",".join(map(text, row)) for row in rows)]
+    return "\n".join(lines) + "\n"
 
 
 def save_points_csv(path, points, mode_ids=None) -> None:

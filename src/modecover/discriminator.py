@@ -10,15 +10,16 @@ on the penalized loss, so a fixed seed gives bit-identical weights.
 Training needs the whole (n, K + 1) feature matrix; `predict` keeps none. It
 fills one (rows, K + 1) block at a time and keeps only the n logits, so its
 memory is the output plus one feature block and that block's `sqdist`
-temporaries. A block's rows are set by a fixed byte budget (`_BLOCK_BYTES`,
-256 rows at 64 two-dimensional centers), small enough that the block stays in
-cache through the passes that turn distances into features and features into
-logits. A row's features do not depend on the block it falls in. Its logit,
-one BLAS product per block, can: with more than one BLAS thread the library
-splits each block's rows among the threads, and a row's logit can move by a
-few ulp with the split. With one thread, the block rows (a multiple of
-`_ROW_ALIGN`) and the last block (never a single row) give each row the logit
-it has in one product over all rows.
+temporaries. A block's rows come from the one row-block budget in `core`
+(`core.block_rows`, 256 rows at 64 two-dimensional centers), which sizes
+`sqdist`'s blocks too, so the block stays in cache through the passes that
+turn distances into features and features into logits. A row's features do
+not depend on the block it falls in. Its logit, one BLAS product per block,
+can: with more than one BLAS thread the library splits each block's rows
+among the threads, and a row's logit can move by a few ulp with the split.
+With one thread, the block rows (a multiple of `_ROW_ALIGN`) and the last
+block (never a single row) give each row the logit it has in one product
+over all rows.
 
 RBF feature values below 1e-154 are set to 0. Far from every center a
 feature underflows, and on x86 an `exp` that returns a subnormal, or a
@@ -40,6 +41,7 @@ from .core import (
     ConfigurationError,
     ContractViolation,
     as_points,
+    block_rows,
     relative_weights,
     row_groups,
     row_lookup,
@@ -53,10 +55,6 @@ _CENTER_SUBSAMPLE = 4096  # cap on the pooled points for k-means and the scale m
 # which keeps the Newton Hessian's products off the subnormal slow path
 _RBF_FLOOR = 1e-154
 _RBF_ARG_MIN = float(np.log(_RBF_FLOOR)) - 1.0  # exp of it is below the floor
-# bytes of one block's distances to the basis; it sets the rows of the feature
-# blocks (256 at 64 two-dimensional centers), so that a block and its `sqdist`
-# temporaries stay in cache through the elementwise passes over it
-_BLOCK_BYTES = 2**18
 # A BLAS matrix-vector product takes its rows a few at a time and rounds a row
 # by its place in that grouping. Blocks of a multiple of this many rows keep
 # every row's place, and with it the row's logit, as in one product over all
@@ -128,12 +126,12 @@ class Discriminator:
         return np.clip(logits, self.spec.clamp, 1.0 - self.spec.clamp, out=logits)
 
     def _blocks(self) -> tuple[int, int]:
-        """(rows, K + 1): the rows of one feature block, `_BLOCK_BYTES` over
-        the bytes of one row's differences to the centers (for the affine
-        map, to the mean) and rounded down to a multiple of `_ROW_ALIGN`
-        from two multiples up, and the feature count plus the bias column."""
+        """(rows, K + 1): the rows of one feature block, `block_rows` of the
+        centers (for the affine map, of the mean) rounded down to a multiple
+        of `_ROW_ALIGN` from two multiples up, and the feature count plus the
+        bias column."""
         basis = self.centers if self.spec.feature_map == "rbf" else self.mean
-        rows = max(1, _BLOCK_BYTES // (8 * basis.size))
+        rows = block_rows(basis)
         if rows >= 2 * _ROW_ALIGN:
             rows -= rows % _ROW_ALIGN
         return rows, len(basis) + 1

@@ -417,7 +417,7 @@ class FixedFamilyGenerator(WeakGenerator):
 # ---------------------------------------------------------------------------
 
 
-def adversarial_make(base: DiscreteDistribution, gamma: float, region, seed=None):
+def adversarial_make(base: DiscreteDistribution, gamma: float, region):
     """Remove up to `gamma` mass from `region` (proportionally) and push it
     onto the complement (proportionally). Returns (distribution, achieved_tv);
     achieved_tv < gamma only when the region holds less mass than the budget.
@@ -461,7 +461,7 @@ def greedy_uncover_region(
     base-mass is smallest.
     """
     ratio = base_mass / np.maximum(target_mass, 1e-300)
-    order_all = np.lexsort((np.arange(len(ratio)), ratio))
+    order_all = np.argsort(ratio, kind="stable")
     covered = ratio >= delta
     order_cov = order_all[covered[order_all]]
     best_region = order_all[:1]

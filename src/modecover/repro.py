@@ -7,7 +7,6 @@ plot-ready CSV artifacts. Recipes are deterministic for a given seed.
 
 from __future__ import annotations
 
-import io
 import math
 
 import numpy as np
@@ -18,6 +17,7 @@ from .core import (
     AnalyticDensity,
     GridSpec,
     bounding_grid,
+    csv_text,
     double_weights,
     group_points,
     init_weights_empirical,
@@ -69,15 +69,6 @@ def _check(name, value, expected=None, tol=None, max_=None, min_=None):
     return entry
 
 
-def _curve_csv(xs, columns: dict) -> str:
-    buf = io.StringIO()
-    buf.write("x," + ",".join(columns) + "\n")
-    arrays = list(columns.values())
-    for i, x in enumerate(xs):
-        buf.write(repr(float(x)) + "," + ",".join(repr(float(a[i])) for a in arrays) + "\n")
-    return buf.getvalue()
-
-
 def recipe_fig1(seed: int):
     """Single-Gaussian fit of the unbalanced three-mode target: the global
     distances are small while the side modes are all but unreachable."""
@@ -96,12 +87,8 @@ def recipe_fig1(seed: int):
         _check("fit_side_mass", q_side, max_=1e-8),
     ]
     xs = np.linspace(-20.0, 20.0, 2001)
-    files = {
-        "densities.csv": _curve_csv(
-            xs, {"target": target.pdf(xs[:, None]), "fit": fit.pdf(xs[:, None])}
-        )
-    }
-    return checks, files
+    curves = zip(xs, target.pdf(xs[:, None]), fit.pdf(xs[:, None]))
+    return checks, {"densities.csv": csv_text(["x", "target", "fit"], curves)}
 
 
 def recipe_fig6(seed: int):
@@ -128,17 +115,8 @@ def recipe_fig6(seed: int):
         _check("spread_pointwise_ratio_min", psi_spread, min_=1.0 / 3.0),
     ]
     xs_full = np.linspace(-20.0, 20.0, 2001)
-    files = {
-        "densities.csv": _curve_csv(
-            xs_full,
-            {
-                "target": target.pdf(xs_full[:, None]),
-                "center_only": center_only.pdf(xs_full[:, None]),
-                "spread": spread.pdf(xs_full[:, None]),
-            },
-        )
-    }
-    return checks, files
+    curves = zip(xs_full, *(g.pdf(xs_full[:, None]) for g in (target, center_only, spread)))
+    return checks, {"densities.csv": csv_text(["x", "target", "center_only", "spread"], curves)}
 
 
 def two_point_walkthrough():
@@ -205,15 +183,9 @@ def recipe_appendix_b(seed: int):
             tol=1e-12,
         ),
     ]
-    table = io.StringIO()
-    table.write("sample,point,w1,w2,doubled\n")
     labels = ["A"] * 5 + ["B"] * 2
-    w1 = np.exp2(r["lw1"])
-    for i in range(7):
-        table.write(
-            f"{i},{labels[i]},{float(w1[i])!r},{float(w2[i])!r},{int(r['flags'][i])}\n"
-        )
-    return checks, {"weights.csv": table.getvalue()}
+    rows = zip(range(7), labels, np.exp2(r["lw1"]), w2, r["flags"].astype(int))
+    return checks, {"weights.csv": csv_text(["sample", "point", "w1", "w2", "doubled"], rows)}
 
 
 def sine_run(seed: int):
@@ -273,13 +245,12 @@ def recipe_sine(seed: int):
                max_=0.1 * run["data_box_share"]),
         _check("data_box_share", run["data_box_share"], min_=0.002),
     ]
-    files = {"trace.csv": run["trace"].to_csv(run["minority_ratios"])}
-    ratios_csv = io.StringIO()
-    ratios_csv.write("minor_sample,bin_ratio\n")
-    for i, v in enumerate(run["minor_ratios"]):
-        ratios_csv.write(f"{i},{float(v)!r}\n")
-    files["minor_bin_ratios.csv"] = ratios_csv.getvalue()
-    return checks, files
+    return checks, {
+        "trace.csv": run["trace"].to_csv(run["minority_ratios"]),
+        "minor_bin_ratios.csv": csv_text(
+            ["minor_sample", "bin_ratio"], enumerate(run["minor_ratios"])
+        ),
+    }
 
 
 def spiral_run(seed: int, n: int = 2000, rounds: int = 25):
@@ -356,13 +327,9 @@ def recipe_grid_isolated(seed: int):
         _check("first_covered_round", -1 if first is None else first, min_=1, max_=25),
         _check("minority_ratio_strictly_increasing", strictly_up, expected=True),
     ]
-    series = io.StringIO()
-    series.write("round,minority_ratio\n")
-    for i, v in enumerate(ratios, start=1):
-        series.write(f"{i},{float(v)!r}\n")
     return checks, {
         "trace.csv": run["trace"].to_csv(ratios),
-        "minority_ratio.csv": series.getvalue(),
+        "minority_ratio.csv": csv_text(["round", "minority_ratio"], enumerate(ratios, start=1)),
     }
 
 

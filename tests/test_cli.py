@@ -350,7 +350,7 @@ class TestJsonWriter:
             "negative_zero": -0.0,
             "text": "gr\u00fc\u00dfe \u2713 \U0001d11e",
         }
-        _finish(str(tmp_path), {"doc.json": doc}, {})
+        _finish(str(tmp_path), {"doc.json": doc}, {}, [])
         want = json.dumps(doc, indent=2, sort_keys=True) + "\n"
         assert (tmp_path / "doc.json").read_bytes() == want.encode()
 
@@ -368,7 +368,7 @@ class TestJsonWriter:
     def test_float_rows_across_chunk_edges(self, tmp_path, monkeypatch, length):
         monkeypatch.setattr(cli, "_FLOAT_CHUNK", 3)
         doc = {"ratios": [float(i % 2) / 3 for i in range(length)]}
-        _finish(str(tmp_path), {"doc.json": doc}, {})
+        _finish(str(tmp_path), {"doc.json": doc}, {}, [])
         want = json.dumps(doc, indent=2, sort_keys=True) + "\n"
         assert (tmp_path / "doc.json").read_bytes() == want.encode()
 
@@ -376,7 +376,7 @@ class TestJsonWriter:
         rng = np.random.default_rng(8)
         values = rng.choice([0.1, -0.0, 2.5e-300, float("nan"), 7.0], cli._FLOAT_CHUNK + 123)
         doc = {"a": {"ratios": values.tolist(), "n": len(values)}}
-        _finish(str(tmp_path), {"doc.json": doc}, {})
+        _finish(str(tmp_path), {"doc.json": doc}, {}, [])
         want = json.dumps(doc, indent=2, sort_keys=True) + "\n"
         assert (tmp_path / "doc.json").read_bytes() == want.encode()
 
@@ -615,6 +615,55 @@ def test_grid_isolated_writes_one_minority_series(tmp_path):
     from_series = [row.split(",")[1] for row in series_rows[1:]]
     assert len(from_trace) == 25 and "" not in from_trace
     assert from_trace == from_series
+
+
+def test_meta_records_the_parsed_argv(tmp_path, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["host", "extra-host-arg"])
+    out = tmp_path / "given"
+    argv = ["verify", "dynamics", "--trials", "3", "--out", str(out)]
+    assert main(argv) == 0
+    assert json.loads((out / "meta.json").read_text())["argv"] == argv
+    # with no list given, main parses the process's own arguments
+    argv = ["verify", "dynamics", "--trials", "3", "--out", str(tmp_path / "host")]
+    monkeypatch.setattr(sys, "argv", ["modecover", *argv])
+    assert main() == 0
+    assert json.loads((tmp_path / "host" / "meta.json").read_text())["argv"] == argv
+
+
+def test_every_command_kind_twice_in_one_process(tmp_path, capsys):
+    # State one command leaves for a later one (a module-level cache, a cache
+    # keyed by object identity) would make the second pass differ from the first
+    configs = {
+        "gmm": {},
+        "histogram": {"generator": {"kind": "histogram", "cells": 16}},
+        "exact": {
+            "dataset": SMALL_SPIRAL,
+            "mode": "exact",
+            "generator": {"kind": "adversarial", "gamma": 0.05},
+        },
+    }
+    calls = [["repro", "grid-isolated"], ["repro", "appendix-b"]]
+    calls += [["verify", suite, "--trials", "5"] for suite in sorted(cli.SUITES)]
+    for name, overrides in configs.items():
+        (tmp_path / name).mkdir()
+        calls.append(["boost", "--config", str(write_config(tmp_path / name, **overrides))])
+
+    def one_pass(label):
+        outputs = []
+        for i, call in enumerate(calls):
+            out = tmp_path / label / str(i)
+            assert main([*call, "--out", str(out)]) == 0, call
+            files = {
+                path.name: path.read_bytes()
+                for path in sorted(out.iterdir())
+                if path.name != "meta.json"
+            }
+            outputs.append((capsys.readouterr().out, files))
+        return outputs
+
+    first = one_pass("first")
+    assert all(files for _, files in first)
+    assert one_pass("second") == first
 
 
 def test_verify_threads_flag_rejected():

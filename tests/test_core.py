@@ -301,7 +301,7 @@ class TestSqdist:
         rng = np.random.default_rng(m * 10 + d)
         x = rng.standard_normal((m, d)) * 3.0
         y = rng.standard_normal((4, d))
-        monkeypatch.setattr(core, "_SQDIST_BLOCK_BYTES", 7 * 8 * y.size + 5)
+        monkeypatch.setattr(core, "_BLOCK_BYTES", 7 * 8 * y.size + 5)
         for scale in (None, rng.uniform(0.1, 2.0, size=(4, d)), 0.3):
             got = sqdist(x, y, scale)
             assert got.shape == (m, 4)
@@ -325,7 +325,7 @@ class TestSqdist:
         scale = rng.uniform(0.1, 2.0, size=(k, d)) if scaled else None
         want = self.broadcast(x, y, scale)
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(core, "_SQDIST_BLOCK_BYTES", block_rows * 8 * y.size)
+            patch.setattr(core, "_BLOCK_BYTES", block_rows * 8 * y.size)
             for out in (np.empty((m, k)), np.empty((k, m)).T):
                 got = sqdist(x, y, scale, out=out)
                 assert got is out
@@ -343,7 +343,7 @@ class TestSqdist:
             tracemalloc.stop()
         full_tensor = x.shape[0] * y.shape[0] * x.shape[1] * 8
         # the output plus one block of differences
-        assert peak < out.nbytes + core._SQDIST_BLOCK_BYTES + 2**20
+        assert peak < out.nbytes + core._BLOCK_BYTES + 2**20
         assert peak < full_tensor
 
 

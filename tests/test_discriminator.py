@@ -22,9 +22,9 @@ from modecover import (
     run_empirical,
     train_discriminator,
 )
-from modecover import discriminator
-from modecover.core import relative_weights
-from modecover.discriminator import _BLOCK_BYTES, _RBF_FLOOR
+from modecover import core, discriminator
+from modecover.core import _BLOCK_BYTES, relative_weights
+from modecover.discriminator import _RBF_FLOOR
 from modecover.synthdata import make_dataset
 
 AFFINE = DiscriminatorSpec(feature_map="affine")
@@ -228,7 +228,7 @@ class TestFeatures:
             DiscriminatorSpec(), rng.standard_normal(65), centers, 1.0, None, None
         )
         pts = rng.standard_normal((5_000, d))
-        budget = discriminator._BLOCK_BYTES
+        budget = core._BLOCK_BYTES
         rows = []
         fill = Discriminator._fill
 
@@ -276,6 +276,14 @@ class TestFeatures:
         assert _BLOCK_BYTES // (8 * 64 * d) % discriminator._ROW_ALIGN
         assert mismatches_with_one_blas_thread(f"blocked_and_one_shot({d})") == "0"
 
+    def test_one_budget_sizes_sqdist_and_feature_blocks(self, monkeypatch):
+        centers = np.zeros((64, 2))
+        disc = Discriminator(DiscriminatorSpec(), np.zeros(65), centers, 1.0, None, None)
+        assert disc._blocks() == (256, 65) and core.block_rows(centers) == 256
+        # patching the budget in `core` moves both; 100 rows round down to 96
+        monkeypatch.setattr(core, "_BLOCK_BYTES", 100 * 8 * 64 * 2)
+        assert disc._blocks() == (96, 65) and core.block_rows(centers) == 100
+
     def test_run_with_small_blocks_keeps_every_decision(self, monkeypatch):
         points = make_dataset("spiral", seed=5, n=2000).points
         cfg = BoostConfig(
@@ -285,8 +293,9 @@ class TestFeatures:
             disc_sample_size=1024,
         )
         _, default = run_empirical(points, cfg)
-        # 100-row blocks against 64 two-dimensional centers
-        monkeypatch.setattr(discriminator, "_BLOCK_BYTES", 100 * 8 * 64 * 2)
+        # 100-row blocks against 64 two-dimensional centers, in `sqdist` and
+        # in the classifier's feature blocks alike
+        monkeypatch.setattr(core, "_BLOCK_BYTES", 100 * 8 * 64 * 2)
         _, blocked = run_empirical(points, cfg)
         assert any(0 < r.n_doubled < len(points) for r in default.rounds)
         for a, b in zip(default.rounds, blocked.rounds, strict=True):

@@ -19,6 +19,11 @@ CSV that this script writes. The last reach the paths no workload takes:
 `sqdist` at d >= 8 and the E-step's sums over k < 8 and k >= 8 components.
 Run it on two trees in the same environment and compare the outputs with
 `diff`.
+
+After digesting every call it digests them all again, in the same order and
+process, and exits 1, naming each key whose two digests differ, if any do:
+state that one call leaves for a later one would show there. The printed
+JSON is that of the first pass.
 """
 
 from __future__ import annotations
@@ -96,7 +101,8 @@ def _digest_call(cli, argv: list[str], out_dir: Path) -> dict:
     return {"exit_code": code, "stdout": _sha256(stdout.getvalue().encode()), "files": files}
 
 
-def digest_tree(tree: Path, seeds: list[int]) -> dict:
+def digest_tree(tree: Path, seeds: list[int]) -> tuple[dict, list[str]]:
+    """The first pass's digests, and the keys whose second pass differs."""
     sys.path[:0] = [str(tree / "src"), str(tree / "perfbench")]
     cli = importlib.import_module("modecover.cli")
     package = Path(sys.modules["modecover"].__file__).resolve()
@@ -104,26 +110,34 @@ def digest_tree(tree: Path, seeds: list[int]) -> dict:
         raise SystemExit(f"imported {package}, not {tree / 'src'}")
     from workloads import WORKLOADS as ALL
 
-    out = {}
+    calls = {}
     with tempfile.TemporaryDirectory() as tmp:
         for name, seed in zip(WORKLOADS, seeds, strict=True):
             work_dir = Path(tmp) / name
             work_dir.mkdir()
             for i, call in enumerate(ALL[name].prepare(seed, work_dir)):
-                key = f"{name}/{i} {' '.join(call.argv[:2])}"
-                out[key] = _digest_call(cli, call.argv, work_dir / f"out{i}")
-        for i, (label, argv) in enumerate(_extra_calls(tree, Path(tmp)).items()):
-            out[f"extra/{label}"] = _digest_call(cli, argv, Path(tmp) / f"extra{i}")
-    return out
+                calls[f"{name}/{i} {' '.join(call.argv[:2])}"] = call.argv
+        for label, argv in _extra_calls(tree, Path(tmp)).items():
+            calls[f"extra/{label}"] = argv
+        first, second = (
+            {
+                key: _digest_call(cli, argv, Path(tmp) / f"pass{p}" / str(i))
+                for i, (key, argv) in enumerate(calls.items())
+            }
+            for p in range(2)
+        )
+    return first, [key for key in first if first[key] != second[key]]
 
 
 def main(argv: list[str]) -> int:
     if len(argv) != 4:
         print(__doc__, file=sys.stderr)
         return 2
-    digest = digest_tree(Path(argv[0]), [int(s) for s in argv[1:]])
+    digest, unrepeated = digest_tree(Path(argv[0]), [int(s) for s in argv[1:]])
     print(json.dumps(digest, indent=2, sort_keys=True))
-    return 0
+    for key in unrepeated:
+        print(f"second pass differs: {key}", file=sys.stderr)
+    return 1 if unrepeated else 0
 
 
 if __name__ == "__main__":

@@ -85,32 +85,49 @@ class DiscreteDistribution:
 
     def sample(self, count: int, seed) -> np.ndarray:
         """Draw `count` i.i.d. support points with probability `mass`."""
-        return self.support[self._draw(count, seed)]
+        idx, order = self._draw(count, seed)
+        drawn = np.empty_like(idx)
+        drawn[order] = idx
+        return self.support[drawn]
 
     def resample(self, count: int, seed) -> DiscreteDistribution:
         """The uniform empirical distribution of `count` draws: bit for bit
         ``uniform_on(self.sample(count, seed))``, from the same draws.
 
-        The support rows are distinct, so the drawn indices are the groups:
-        they are counted with one `bincount` and ordered by first draw,
-        without building or sorting the (count, d) sample.
+        The support rows are distinct, so the drawn indices are the groups.
+        In key order the indices come in runs, one per drawn row: a run's
+        length is its count, and its least draw number its first draw, by
+        which the rows are ordered. No (count, d) sample is built or sorted.
         """
-        idx = self._draw(count, seed)
+        idx, order = self._draw(count, seed)
         if count == 0:
             as_points(self.support[:0])  # raises what uniform_on of no rows raises
-        first = np.full(self.size, count)
-        np.minimum.at(first, idx, np.arange(count))
-        counts = np.bincount(idx, minlength=self.size)
-        drawn = np.flatnonzero(counts)
-        order = drawn[np.argsort(first[drawn])]
-        return _on_checked_support(self.support[order], counts[order] / count)
+        starts = np.flatnonzero(np.diff(idx, prepend=-1))
+        counts = np.diff(starts, append=count)
+        by_first = np.argsort(np.minimum.reduceat(order, starts))
+        return _on_checked_support(
+            self.support[idx[starts[by_first]]], counts[by_first] / count
+        )
 
-    def _draw(self, count: int, seed) -> np.ndarray:
-        """`count` i.i.d. support indices with probability `mass`."""
+    def _draw(self, count: int, seed) -> tuple[np.ndarray, np.ndarray]:
+        """`count` i.i.d. support indices with probability `mass`, as
+        ``(idx, order)``: draw ``order[j]`` is support index ``idx[j]``, and
+        `idx` is nondecreasing.
+
+        The draws are those of ``rng.choice(size, count, p=mass)`` in numpy
+        2.x: the cdf normalized by its last entry, searched (right side) for
+        `count` uniform keys from the generator. The keys are searched in
+        sorted order, which keeps each binary search near the previous one
+        and in cache; every index depends on its own key only, so the
+        indices, and the generator's stream, are the same.
+        """
         if count < 0:
             raise ContractViolation("count must be >= 0")
-        rng = np.random.default_rng(seed)
-        return rng.choice(self.size, size=count, p=self.mass)
+        cdf = self.mass.cumsum()
+        cdf /= cdf[-1]
+        keys = np.random.default_rng(seed).random(count)
+        order = np.argsort(keys)
+        return cdf.searchsorted(keys[order], side="right"), order
 
 
 def _checked_mass(support: np.ndarray, mass) -> np.ndarray:

@@ -9,17 +9,18 @@ takes ridge-regularized Newton steps on the full batch, with backtracking
 on the penalized loss, so a fixed seed gives bit-identical weights.
 Training needs the whole (n, K + 1) feature matrix; `predict` keeps none. It
 fills one (rows, K + 1) block at a time and keeps only the n logits, so its
-memory is the output plus one feature block and that block's `sqdist`
-temporaries. A block's rows come from the one row-block budget in `core`
-(`core.block_rows`, 256 rows at 64 two-dimensional centers), which sizes
-`sqdist`'s blocks too, so the block stays in cache through the passes that
-turn distances into features and features into logits. A row's features do
-not depend on the block it falls in. Its logit, one BLAS product per block,
-can: with more than one BLAS thread the library splits each block's rows
-among the threads, and a row's logit can move by a few ulp with the split.
-With one thread, the block rows (a multiple of `_ROW_ALIGN`) and the last
-block (never a single row) give each row the logit it has in one product
-over all rows.
+memory is the output plus one feature block, the RBF map's (rows, K) float
+and bool scratch pair, and `sqdist`'s column scratch. A block's rows come
+from the one row-block budget in `core` (`core.block_rows`, 256 rows at 64
+two-dimensional centers), which sizes `sqdist`'s blocks too, so the block
+and its scratch stay in cache through the passes that turn distances into
+features and features into logits. A row's features do not depend on the
+block it falls in. Its logit, one BLAS product per block, can: with more
+than one BLAS thread the library splits each block's rows among the
+threads, and a row's logit can move by a few ulp with the split. With one
+thread, the block rows (a multiple of `_ROW_ALIGN`) and the last block
+(never a single row) give each row the logit it has in one product over
+all rows.
 
 RBF feature values below 1e-154 are set to 0. Far from every center a
 feature underflows, and on x86 an `exp` that returns a subnormal, or a
@@ -96,17 +97,19 @@ class Discriminator:
         pts = as_points(x)
         rows, width = self._blocks()
         phi = np.empty((len(pts), width))
+        scratch = self._scratch(min(len(pts), rows))
         for i in range(0, len(pts), rows):
-            self._fill(pts[i : i + rows], phi[i : i + rows])
+            self._fill(pts[i : i + rows], phi[i : i + rows], scratch)
         return phi
 
     def predict(self, x) -> np.ndarray:
-        """Clamped probabilities. One (rows, K + 1) buffer, local to the
-        call, is refilled for each row block and reduced to that block's
-        logits, so no (n, K + 1) matrix is held."""
+        """Clamped probabilities. One (rows, K + 1) buffer and one scratch
+        pair, local to the call, are refilled for each row block, which is
+        reduced to its logits, so no (n, K + 1) matrix is held."""
         pts = as_points(x)
         rows, width = self._blocks()
         buf = np.empty((min(len(pts), rows), width))
+        scratch = self._scratch(len(buf))
         logits = np.empty(len(pts))
         starts = list(range(0, len(pts), rows))
         if len(starts) > 1 and len(pts) - starts[-1] == 1 and rows > _ROW_ALIGN:
@@ -116,7 +119,7 @@ class Discriminator:
             starts[-1] -= _ROW_ALIGN
         for i, stop in zip(starts, [*starts[1:], len(pts)]):
             block = buf[: stop - i]
-            self._fill(pts[i:stop], block)
+            self._fill(pts[i:stop], block, scratch)
             np.matmul(block, self.weights, out=logits[i:stop])
         # 1 / (1 + exp(-logits)), clipped, each step written into `logits`
         np.negative(logits, out=logits)
@@ -136,21 +139,36 @@ class Discriminator:
             rows -= rows % _ROW_ALIGN
         return rows, len(basis) + 1
 
-    def _fill(self, pts: np.ndarray, out: np.ndarray) -> None:
+    def _scratch(self, rows: int):
+        """The (rows, K) float and bool arrays `_fill` computes RBF features
+        in, or None for the affine map, which needs none."""
+        if self.spec.feature_map != "rbf":
+            return None
+        shape = (rows, len(self.centers))
+        return np.empty(shape), np.empty(shape, dtype=bool)
+
+    def _fill(self, pts: np.ndarray, out: np.ndarray, scratch) -> None:
         """Write the features of `pts` into `out`, a (len(pts), K + 1) buffer.
 
-        Every step writes into `out`; the only temporaries are one `sqdist`
-        block and the floor's 0/1 mask. An RBF value below `_RBF_FLOOR` is 0;
-        its exponent is clamped first, so `exp` never makes a subnormal.
+        `scratch` is `_scratch` of at least len(pts) rows. The RBF map runs
+        `sqdist`, the scaling, the clamp, `exp` and the floor's 0/1 mask in
+        the pair's C-contiguous arrays, where each pass is several times
+        faster than in the strided (rows, K) view of `out`, and writes only
+        the floored product into `out`. Every value gets the same operations
+        in the same order either way. A value below `_RBF_FLOOR` is 0; its
+        exponent is clamped first, so `exp` never makes a subnormal.
         """
         phi = out[:, :-1]
         if self.spec.feature_map == "rbf":
+            arg, keep = (a[: len(pts)] for a in scratch)
+            sqdist(pts, self.centers, out=arg)
             # x / -w is bitwise -(x / w), with w = 2 scale^2
-            np.divide(sqdist(pts, self.centers), -2.0 * self.scale**2, out=phi)
-            np.maximum(phi, _RBF_ARG_MIN, out=phi)
-            np.exp(phi, out=phi)
+            np.divide(arg, -2.0 * self.scale**2, out=arg)
+            np.maximum(arg, _RBF_ARG_MIN, out=arg)
+            np.exp(arg, out=arg)
             # positive values times a 0/1 mask: +0.0 below the floor, the rest kept
-            np.multiply(phi, phi >= _RBF_FLOOR, out=phi)
+            np.greater_equal(arg, _RBF_FLOOR, out=keep)
+            np.multiply(arg, keep, out=phi)
         else:
             np.subtract(pts, self.mean, out=phi)
             np.divide(phi, self.std, out=phi)

@@ -429,6 +429,50 @@ def same_bits(a, b):
     return np.array_equal(a, b) and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def masses():
+    """Probability vectors of 1 to 12 entries, each 0 or 2^e with e in
+    [-60, 0] before normalizing, at least one of them positive."""
+    entry = st.one_of(st.just(0.0), st.floats(-60.0, 0.0).map(np.exp2))
+    return st.lists(entry, min_size=1, max_size=12).filter(any).map(
+        lambda w: np.array(w) / np.sum(w)
+    )
+
+
+# A seed whose first key u is at least 1/2, so that 1 - u and u + (1 - u) = 1
+# are exact. With masses (u, 1 - u) the key equals the first cdf entry: the
+# right-side search draws index 1, a left-side one index 0.
+_SEED = next(s for s in range(100) if np.random.default_rng(s).random() >= 0.5)
+_KEY = np.random.default_rng(_SEED).random()
+_KEY_ON_CDF = (np.array([_KEY, 1.0 - _KEY]), 1, _SEED)
+# masses summing to 1 - 5e-10: the first cdf entry lies just below the key,
+# and normalized by the cdf's last entry just above it
+_LOW = _KEY * (1.0 - 2.5e-10)
+_UNNORMALIZED_CDF = (np.array([_LOW, 1.0 - 5e-10 - _LOW]), 1, _SEED)
+
+
+class TestSample:
+    """`sample` draws what ``rng.choice(size, count, p=mass)`` draws."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(masses(), st.integers(0, 500), st.integers(0, 2**32 - 1))
+    @example(np.array([0.0, 0.25, 0.75]), 300, 1)
+    @example(np.array([0.5, 0.5, 0.0]), 300, 2)
+    @example(np.array([0.0, 1.0, 0.0]), 50, 3)
+    @example(np.array([1.0]), 7, 4)
+    @example(np.array([2.0**-60, 1.0]), 500, 5)
+    @example(*_KEY_ON_CDF)
+    @example(*_UNNORMALIZED_CDF)
+    def test_bit_identical_to_rng_choice(self, mass, count, seed):
+        support = np.arange(len(mass), dtype=float)[:, None]
+        got = DiscreteDistribution(support, mass).sample(count, seed)
+        want = support[np.random.default_rng(seed).choice(len(mass), count, p=mass)]
+        assert same_bits(got, want)
+
+    def test_negative_count_raises(self):
+        with pytest.raises(ContractViolation, match="count must be >= 0"):
+            DiscreteDistribution([[0.0], [1.0]], [0.5, 0.5]).sample(-1, 0)
+
+
 class TestRowGroups:
     @settings(max_examples=200, deadline=None)
     @given(multisets())

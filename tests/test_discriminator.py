@@ -232,17 +232,18 @@ class TestFeatures:
         rows = []
         fill = Discriminator._fill
 
-        def recording(self, block_pts, out):
+        def recording(self, block_pts, out, scratch):
             rows.append(len(out))
-            fill(self, block_pts, out)
+            fill(self, block_pts, out, scratch)
 
         monkeypatch.setattr(Discriminator, "_fill", recording)
         disc.predict(pts)
         monkeypatch.setattr(Discriminator, "_fill", fill)
         assert sum(rows) == len(pts) and len(rows) > 1
         assert max(rows) * 8 * centers.size <= budget
-        # memory: the probabilities, one (rows, 65) block and the distances
-        # `sqdist` writes for it, each within the budget
+        # memory: the probabilities, one (rows, 65) block, the (rows, 64)
+        # float and bool scratch pair `_fill` works in and `sqdist`'s column
+        # scratch
         tracemalloc.start()
         try:
             probs = disc.predict(pts)

@@ -106,6 +106,10 @@ class WorstSubset:
     mass: float
 
 
+# the levels of the ratio quantiles a report's JSON carries; its minimum is psi_hat
+RATIO_QUANTILE_LEVELS = (0.001, 0.01, 0.1, 0.5)
+
+
 @dataclass(frozen=True)
 class CoverageReport:
     """Pointwise coverage of a mixture against a discrete target."""
@@ -115,9 +119,13 @@ class CoverageReport:
     worst_subset: WorstSubset
 
     def to_json_dict(self) -> dict:
+        """The report without its per-point ratios, which the CLI writes to
+        ratios.npy: their count, minimum and quantiles, and the worst subset."""
+        quantiles = np.quantile(self.ratios, RATIO_QUANTILE_LEVELS).tolist()
         return {
             "psi_hat": self.psi_hat,
-            "ratios": np.asarray(self.ratios, dtype=float).tolist(),
+            "n_points": int(self.ratios.size),
+            "ratio_quantiles": dict(zip(map(str, RATIO_QUANTILE_LEVELS), quantiles)),
             "worst_subset": {
                 "indices": list(self.worst_subset.indices),
                 "ratio": self.worst_subset.ratio,

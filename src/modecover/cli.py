@@ -58,35 +58,15 @@ def _schema(name: str) -> dict:
 # schema name -> its validator, built on first use
 _VALIDATORS = {}
 
-# bare item schemas whose arrays `_validator` checks in one scan, with the
-# exact element type that passes
-_SCANNED_ITEMS = (({"type": "number"}, float), ({"type": "integer"}, int))
-
 
 def _validator(schema_name: str):
-    """The schema's validator, checked and built once per process.
-
-    Its `items` keyword passes a list without a further look when the item
-    schema is a bare number (integer) type and every element's type is
-    exactly float (int), which that schema accepts. Any other list, and any
-    failure, goes to jsonschema's own `items`, so every document is accepted
-    or rejected, with the same error, as by `jsonschema.validate`.
-    """
+    """The named schema's validator. The schema is checked and its validator
+    built on first use, then kept for the rest of the process."""
     if schema_name not in _VALIDATORS:
         schema = _schema(schema_name)
         cls = jsonschema.validators.validator_for(schema)
         cls.check_schema(schema)
-        items = cls.VALIDATORS["items"]
-
-        def scanned_items(validator, item_schema, instance, schema):
-            for bare, kind in _SCANNED_ITEMS:
-                if item_schema == bare and type(instance) is list:
-                    if set(map(type, instance)) <= {kind}:
-                        return
-            yield from items(validator, item_schema, instance, schema)
-
-        fast = jsonschema.validators.extend(cls, {"items": scanned_items})
-        _VALIDATORS[schema_name] = fast(schema)
+        _VALIDATORS[schema_name] = cls(schema)
     return _VALIDATORS[schema_name]
 
 
@@ -108,74 +88,14 @@ def _json_sanitize(value):
     return value
 
 
-# floats per write when `_write_json` writes a list of floats
-_FLOAT_CHUNK = 8192
-
-
-def _float_texts(values) -> list[str]:
-    """json's text of each float of `values`; a repeated value is looked up,
-    not formatted again. A zero is always formatted, because -0.0 == 0.0.
-
-    It makes Python objects only. Numpy temporaries, made and freed for
-    every chunk, fragment the heap of a process that writes one report after
-    another: on sine-400k its peak RSS rose by about 1 MB per report before
-    it levelled off 6 MB higher.
-    """
-    seen = {}
-    texts = []
-    for v in values:
-        text = seen.get(v) if v else None
-        if text is None:
-            # json writes a finite float as float.__repr__ does
-            text = float.__repr__(v) if math.isfinite(v) else json.dumps(v)
-            seen[v] = text
-        texts.append(text)
-    return texts
-
-
-def _write_json(fh, value, pad: str = "") -> None:
-    """Write `value` into `fh` as ``json.dumps(value, indent=2,
-    sort_keys=True)`` writes it, `pad` being its line's indent.
-
-    Dicts and lists are written an item at a time, every other value by
-    `json.dumps`. A list whose elements are all exactly `float` is written
-    `_FLOAT_CHUNK` rows at a time, by `_float_texts`, so its memory is that
-    of one chunk's text.
-    """
-    inner = pad + "  "
-    if isinstance(value, dict) and value:
-        sep = "{\n"
-        for key, item in sorted(value.items()):
-            # a non-str key is spelled as json spells it, or refused as json refuses it
-            name = json.dumps(key) if isinstance(key, str) else json.dumps({key: None})[1:-7]
-            fh.write(f"{sep}{inner}{name}: ")
-            _write_json(fh, item, inner)
-            sep = ",\n"
-        fh.write(f"\n{pad}}}")
-    elif isinstance(value, (list, tuple)) and value:
-        sep = ",\n" + inner
-        fh.write("[\n" + inner)
-        if set(map(type, value)) == {float}:
-            for i in range(0, len(value), _FLOAT_CHUNK):
-                fh.write((sep if i else "") + sep.join(_float_texts(value[i : i + _FLOAT_CHUNK])))
-        else:
-            for i, item in enumerate(value):
-                if i:
-                    fh.write(sep)
-                _write_json(fh, item, inner)
-        fh.write(f"\n{pad}]")
-    else:
-        fh.write(json.dumps(value))
-
-
-def _finish(out, files: dict[str, str | dict], doc: dict, argv: list[str]) -> None:
+def _finish(out, files: dict[str, str | dict | np.ndarray], doc: dict, argv: list[str]) -> None:
     """Write `files` and meta.json, which records `argv`, into directory
     `out` when one is given, then print `doc` as the one-line JSON summary.
 
-    A str is written as it is. A dict is streamed into its file by
-    `_write_json`, the bytes of ``json.dumps(content, indent=2,
-    sort_keys=True)`` plus a newline, without building the document's text
-    in memory first.
+    A str is written as it is, an array by `np.save`, and a dict as
+    ``json.dumps(content, indent=2, sort_keys=True)`` plus a newline. A dict
+    is encoded before its file is opened, so a document that cannot be
+    encoded leaves no file.
     """
     if out:
         out_dir = Path(out)
@@ -186,12 +106,12 @@ def _finish(out, files: dict[str, str | dict], doc: dict, argv: list[str]) -> No
             "argv": argv,
         }
         for name, content in {**files, "meta.json": meta}.items():
-            if isinstance(content, str):
-                (out_dir / name).write_text(content)
+            if isinstance(content, np.ndarray):
+                np.save(out_dir / name, content)
                 continue
-            with (out_dir / name).open("w") as fh:
-                _write_json(fh, content)
-                fh.write("\n")
+            if isinstance(content, dict):
+                content = json.dumps(content, indent=2, sort_keys=True) + "\n"
+            (out_dir / name).write_text(content)
     print(json.dumps(_json_sanitize(doc), sort_keys=True))
 
 
@@ -315,6 +235,7 @@ def cmd_boost(args) -> int:
         "mixture.json": mixture_doc,
         "summary.json": summary,
         "coverage_report.json": report_doc,
+        "ratios.npy": report.ratios,
     }
     _finish(args.out, files, summary, args.argv)
     return EXIT_OK

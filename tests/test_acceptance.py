@@ -246,7 +246,9 @@ def test_criterion_9_byte_identical_outputs(tmp_path):
         outs.append(out)
     identical = all(
         (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
-        for name in ("trace.csv", "mixture.json", "summary.json", "coverage_report.json")
+        for name in (
+            "trace.csv", "mixture.json", "summary.json", "coverage_report.json", "ratios.npy"
+        )
     )
     rep = tmp_path / "r1"
     rep2 = tmp_path / "r2"

@@ -169,6 +169,8 @@ def cmd_boost(args) -> int:
         discriminator=disc_spec,
         **boost_cfg,
     )
+    if "eval" in config and centers is None:
+        raise ConfigurationError("eval set but dataset has no mode centers")
 
     if config["mode"] == "exact":
         target = uniform_on(points)
@@ -184,7 +186,7 @@ def cmd_boost(args) -> int:
     report = coverage_report(trace.mixture_mass, trace.target)
 
     mode_cov = None
-    if centers is not None and data.mode_var is not None and "eval" in config:
+    if "eval" in config:
         n_eval = config["eval"].get("n_samples", 10000)
         frac = config["eval"].get("frac", 0.01)
         sigma0 = math.sqrt(data.mode_var)

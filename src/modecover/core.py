@@ -10,7 +10,8 @@ doubling, an exact ``+1.0`` on the flagged exponents, and
 small worked examples bit-exact.
 
 One byte budget, `_BLOCK_BYTES`, sizes every row block: those of `sqdist`,
-the one pairwise-distance kernel, and the classifier's feature blocks.
+the one pairwise-distance kernel, which adds its d column terms left to
+right at every d, and the classifier's feature blocks.
 """
 
 from __future__ import annotations
@@ -23,9 +24,10 @@ import numpy as np
 
 MASS_TOL = 1e-9
 
-# bytes of one block's (rows, k, d) differences, the budget `block_rows` turns
-# into rows (256 at 64 two-dimensional centers), so that a block and its
-# temporaries stay in cache through the elementwise passes over it
+# the row-block budget: `block_rows` divides it by 8 * k * d, the bytes of
+# one row's d column terms against k points (256 rows at 64 two-dimensional
+# centers), so that a block's (rows, k) arrays stay in cache through the
+# elementwise passes over them
 _BLOCK_BYTES = 2**18
 
 # exp of any argument below about -745.13 rounds to 0.0; `exp_inplace`
@@ -153,20 +155,18 @@ def _on_checked_support(support: np.ndarray, mass) -> DiscreteDistribution:
 
 
 def sqdist(x: np.ndarray, y: np.ndarray, scale=None, out=None) -> np.ndarray:
-    """Pairwise squared distances: ``((x[:, None, :] - y[None, :, :]) ** 2
-    [/ scale]).sum(axis=2)`` as an (m, k) array, where `scale` broadcasts
-    against (k, d). They are written into `out` when one is given.
+    """Pairwise squared distances as an (m, k) array: entry (i, c) is the
+    sum over the d columns j of ``(x[i, j] - y[c, j]) ** 2 [/ scale[c, j]]``,
+    added left to right, where `scale` broadcasts against (k, d). They are
+    written into `out` when one is given.
 
     Rows of x are processed a block at a time, `block_rows(y)` rows each,
-    so memory is O(m * k) plus one block of at most `_BLOCK_BYTES`, and each
-    entry is bit-identical to the full broadcast:
-
-    - d < 8: numpy sums fewer than 8 terms left to right, so the d
-      column terms ``(x[:, j] - y[:, j]) ** 2 [/ scale[:, j]]`` are added
-      into the output one column at a time through an (rows, k) scratch
-      array, and no (rows, k, d) block is built;
-    - d >= 8: numpy sums pairwise, so each (rows, k, d) difference block is
-      built and summed over its last axis.
+    and the column terms are added into the output one column at a time
+    through an (rows, k) scratch array, so memory is O(m * k) plus that
+    scratch and no (rows, k, d) array is built. numpy sums fewer than 8
+    terms left to right too, so for d < 8 each entry is bit-identical to
+    ``((x[:, None, :] - y[None, :, :]) ** 2 [/ scale]).sum(axis=2)``; from
+    d = 8 on numpy sums pairwise and the two can differ in the last bits.
 
     The scratch array takes the memory order of `out`. With `out` the
     transpose of a C-ordered (k, m) buffer, as the GMM E-step passes it,
@@ -175,40 +175,30 @@ def sqdist(x: np.ndarray, y: np.ndarray, scale=None, out=None) -> np.ndarray:
     gets the same operations in the same order, so the values are the same.
 
     A sum whose terms are all -0.0 (possible only with a negative `scale`)
-    comes out as -0.0 on the column path and 0.0 in the broadcast.
+    comes out as -0.0 here and 0.0 in the broadcast.
     """
     if out is None:
         out = np.empty((len(x), len(y)))
+    if scale is not None:
+        scale = np.broadcast_to(scale, y.shape)
     rows = block_rows(y)
-    if y.shape[1] < 8:
-        if scale is not None:
-            scale = np.broadcast_to(scale, y.shape)
-        term = np.empty_like(out[:rows])
-        for i in range(0, len(x), rows):
-            xb, acc = x[i : i + rows], out[i : i + rows]
-            for j in range(y.shape[1]):
-                t = term[: len(xb)] if j else acc
-                np.subtract(xb[:, j, None], y[:, j], out=t)
-                np.square(t, out=t)
-                if scale is not None:
-                    np.divide(t, scale[:, j], out=t)
-                if j:
-                    acc += t
-        return out
-    block = np.empty((min(rows, len(x)), *y.shape))
+    term = np.empty_like(out[:rows])
     for i in range(0, len(x), rows):
-        diff = block[: min(rows, len(x) - i)]
-        np.subtract(x[i : i + rows, None, :], y, out=diff)
-        np.square(diff, out=diff)
-        if scale is not None:
-            np.divide(diff, scale, out=diff)
-        diff.sum(axis=2, out=out[i : i + rows])
+        xb, acc = x[i : i + rows], out[i : i + rows]
+        for j in range(y.shape[1]):
+            t = term[: len(xb)] if j else acc
+            np.subtract(xb[:, j, None], y[:, j], out=t)
+            np.square(t, out=t)
+            if scale is not None:
+                np.divide(t, scale[:, j], out=t)
+            if j:
+                acc += t
     return out
 
 
 def block_rows(y: np.ndarray) -> int:
     """Rows per block against the (k, d) array `y` (or a (d,) one): the one
-    budget `_BLOCK_BYTES` over the bytes of one row's differences to it."""
+    budget `_BLOCK_BYTES` over the bytes of one row's column terms against it."""
     return max(1, _BLOCK_BYTES // (8 * y.size))
 
 
@@ -511,22 +501,18 @@ def csv_text(header, rows) -> str:
 
 
 def save_points_csv(path, points, mode_ids=None) -> None:
-    """Write points as CSV: header row, d numeric columns, optional mode_id."""
+    """Write points in the `csv_text` format: header row, d numeric
+    columns, optional mode_id."""
     pts = as_points(points)
     header = [f"x{j}" for j in range(pts.shape[1])]
+    rows = pts.tolist()
     if mode_ids is not None:
         mode_ids = np.asarray(mode_ids, dtype=int)
         if mode_ids.shape != (pts.shape[0],):
             raise ContractViolation("mode_ids length must match points")
         header.append("mode_id")
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for i, row in enumerate(pts):
-            out = [repr(float(v)) for v in row]
-            if mode_ids is not None:
-                out.append(str(int(mode_ids[i])))
-            writer.writerow(out)
+        rows = [[*row, mode] for row, mode in zip(rows, mode_ids.tolist())]
+    Path(path).write_text(csv_text(header, rows))
 
 
 def load_points_csv(path):

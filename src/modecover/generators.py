@@ -171,14 +171,15 @@ def lloyd_iterations(
     """Move each center with owned weight to the weighted mean of the points
     nearest to it, `iters` times, in place.
 
-    With all-one weights and d >= 2 the means are `np.bincount` sums over
-    the owners divided by the counts: both add the owned rows in index
-    order, so they equal `np.average` bit for bit. At d = 1 `np.average`
-    sums the (m, 1) column pairwise, and with other weights its
-    denominator is a different sum, so those keep the per-center loop.
+    With all-one weights the means are `np.bincount` sums over the owners,
+    which add the owned rows in index order, divided by the counts; for
+    d >= 2 `np.average` adds them in that order too, so the two are equal
+    bit for bit (at d = 1 it sums the (m, 1) column pairwise). With other
+    weights `np.average`'s denominator is a different sum, so those keep
+    the per-center loop.
     """
     k, d = centers.shape
-    unit = d >= 2 and bool(np.all(weights == 1.0))
+    unit = bool(np.all(weights == 1.0))
     for _ in range(iters):
         owner = np.argmin(sqdist(points, centers), axis=1)
         if unit:

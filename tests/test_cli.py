@@ -36,7 +36,8 @@ def write_config(tmp_path, **overrides):
         "generator": {"kind": "gmm", "k": 5},
         "eval": {"n_samples": 4000, "frac": 0.01},
     }
-    config.update(overrides)
+    config.update(overrides)  # an override of None drops the field
+    config = {key: value for key, value in config.items() if value is not None}
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
     return path
@@ -92,15 +93,60 @@ class TestBoostCommand:
             dataset={"kind": "csv", "path": str(csv_path)},
             mode="exact",
             generator={"kind": "adversarial", "gamma": 0.1},
+            eval=None,
         )
-        cfg_doc = json.loads(cfg.read_text())
-        del cfg_doc["eval"]
-        cfg.write_text(json.dumps(cfg_doc))
         out = tmp_path / "out"
         assert main(["boost", "--config", str(cfg), "--out", str(out)]) == 0
         summary = json.loads((out / "summary.json").read_text())
         assert summary["mode"] == "exact"
         assert summary["psi_hat"] is not None
+
+    def test_exact_mode_with_duplicate_points_exits_one(self, tmp_path, capsys):
+        from modecover import save_points_csv
+
+        pts = np.random.default_rng(4).normal(size=(60, 2))
+        pts[37] = pts[5]
+        csv_path = tmp_path / "data.csv"
+        save_points_csv(csv_path, pts)
+        cfg = write_config(
+            tmp_path,
+            dataset={"kind": "csv", "path": str(csv_path)},
+            mode="exact",
+            generator={"kind": "adversarial", "gamma": 0.1},
+            eval=None,
+        )
+        assert main(["boost", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == (
+            "configuration error: exact mode needs distinct points"
+            " (duplicates were aggregated)\n"
+        )
+
+    @pytest.mark.parametrize("k", [3, 9])
+    def test_nine_dimensional_csv_gmm_reruns_byte_identical(self, tmp_path, k):
+        # 9-D points put every sqdist call at d >= 8, where numpy's own
+        # sum would go pairwise; k = 9 also takes log_sum_exp's K >= 8 sum
+        from modecover import save_points_csv
+
+        rng = np.random.default_rng(9)
+        centers = rng.normal(0.0, 4.0, (4, 9))
+        csv_path = tmp_path / "gauss9d.csv"
+        points = centers[rng.integers(4, size=600)] + rng.standard_normal((600, 9))
+        save_points_csv(csv_path, points)
+        cfg = write_config(
+            tmp_path,
+            dataset={"kind": "csv", "path": str(csv_path)},
+            boost={"rounds": 3, "delta": 0.25, "seed": 3, "disc_sample_size": 512},
+            generator={"kind": "gmm", "k": k},
+            eval=None,
+        )
+        out1, out2 = tmp_path / "a", tmp_path / "b"
+        assert main(["boost", "--config", str(cfg), "--out", str(out1)]) == 0
+        assert main(["boost", "--config", str(cfg), "--out", str(out2)]) == 0
+        for name in ("trace.csv", "mixture.json", "summary.json",
+                     "coverage_report.json", "ratios.npy"):
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+        members = json.loads((out1 / "mixture.json").read_text())["generators"]
+        assert [np.shape(g["means"]) for g in members] == [(k, 9)] * 3
 
     def test_bad_config_exits_one(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -121,6 +167,23 @@ class TestBoostCommand:
             minority_mode_id=1,
         )
         assert main(["boost", "--config", str(cfg)]) == 1
+
+
+@pytest.mark.parametrize("kind", ["sine", "csv"])
+def test_eval_without_mode_centers_exits_one(tmp_path, capsys, kind):
+    from modecover import save_points_csv
+
+    if kind == "csv":
+        save_points_csv(tmp_path / "d.csv", np.random.default_rng(2).normal(size=(40, 2)))
+        dataset = {"kind": "csv", "path": str(tmp_path / "d.csv")}
+    else:
+        dataset = {"kind": "sine", "seed": 1, "params": {"n_major": 300, "ratio": 10}}
+    cfg = write_config(tmp_path, dataset=dataset)
+    assert main(["boost", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == (
+        "configuration error: eval set but dataset has no mode centers\n"
+    )
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize(

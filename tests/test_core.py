@@ -290,12 +290,25 @@ class TestAnalyticDensity:
 
 class TestSqdist:
     @staticmethod
-    def broadcast(x, y, scale=None):
+    def terms(x, y, scale=None):
         diff2 = (x[:, None, :] - y[None, :, :]) ** 2
-        return (diff2 if scale is None else diff2 / scale).sum(axis=2)
+        return diff2 if scale is None else diff2 / scale
+
+    @classmethod
+    def broadcast(cls, x, y, scale=None):
+        return cls.terms(x, y, scale).sum(axis=2)
+
+    @classmethod
+    def column_sum(cls, x, y, scale=None):
+        # the d column terms added left to right
+        terms = cls.terms(x, y, scale)
+        total = terms[:, :, 0].copy()
+        for j in range(1, terms.shape[2]):
+            total += terms[:, :, j]
+        return total
 
     @pytest.mark.parametrize("m", [0, 5, 7, 25])  # blocks of 7 rows: 25 = 3*7 + 4
-    # d = 7 is the last column-accumulated d, d = 8 the first summed block
+    # numpy's own sum goes left to right up to d = 7 and pairwise from d = 8
     @pytest.mark.parametrize("d", [1, 2, 7, 8, 9])
     def test_bit_identical_to_broadcast(self, monkeypatch, m, d):
         rng = np.random.default_rng(m * 10 + d)
@@ -305,7 +318,9 @@ class TestSqdist:
         for scale in (None, rng.uniform(0.1, 2.0, size=(4, d)), 0.3):
             got = sqdist(x, y, scale)
             assert got.shape == (m, 4)
-            assert np.array_equal(got, self.broadcast(x, y, scale))
+            assert np.array_equal(got, self.column_sum(x, y, scale))
+            if d < 8:
+                assert np.array_equal(got, self.broadcast(x, y, scale))
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -323,7 +338,9 @@ class TestSqdist:
         x = rng.standard_normal((m, d)) * 3.0
         y = rng.standard_normal((k, d))
         scale = rng.uniform(0.1, 2.0, size=(k, d)) if scaled else None
-        want = self.broadcast(x, y, scale)
+        want = self.column_sum(x, y, scale)
+        if d < 8:
+            assert np.array_equal(want.view(np.int64), self.broadcast(x, y, scale).view(np.int64))
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(core, "_BLOCK_BYTES", block_rows * 8 * y.size)
             for out in (np.empty((m, k)), np.empty((k, m)).T):
@@ -345,6 +362,20 @@ class TestSqdist:
         # the output plus one block of differences
         assert peak < out.nbytes + core._BLOCK_BYTES + 2**20
         assert peak < full_tensor
+
+    def test_peak_memory_at_nine_dimensions(self):
+        # the (rows, k) scratch only: no (rows, k, d) block, whose budget
+        # alone is _BLOCK_BYTES
+        rng = np.random.default_rng(2)
+        x = rng.standard_normal((4096, 9))
+        y = rng.standard_normal((64, 9))
+        tracemalloc.start()
+        try:
+            out = sqdist(x, y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - out.nbytes < core._BLOCK_BYTES // 2
 
 
 EXP_ARGS = st.one_of(
@@ -602,6 +633,21 @@ class TestCsvRoundTrip:
         out_pts, out_modes = load_points_csv(path)
         assert np.array_equal(out_pts, pts)
         assert out_modes is None
+
+    def test_writes_csv_text_and_reads_crlf_files(self, tmp_path):
+        # files written before save_points_csv used csv_text end their
+        # lines in \r\n; they load to the same points
+        pts = np.array([[0.5, -1.25], [3.0, 2.0], [1e-9, 7.0]])
+        modes = np.array([0, 1, 0])
+        lf, crlf = tmp_path / "lf.csv", tmp_path / "crlf.csv"
+        save_points_csv(lf, pts, modes)
+        text = lf.read_bytes()
+        assert text == b"x0,x1,mode_id\n0.5,-1.25,0\n3.0,2.0,1\n1e-09,7.0,0\n"
+        crlf.write_bytes(text.replace(b"\n", b"\r\n"))
+        for path in (lf, crlf):
+            out_pts, out_modes = load_points_csv(path)
+            assert np.array_equal(out_pts.view(np.int64), pts.view(np.int64))
+            assert np.array_equal(out_modes, modes)
 
     def test_missing_header_fails(self, tmp_path):
         path = tmp_path / "empty.csv"

@@ -265,8 +265,12 @@ class TestGmm:
 def point_major_e_step(model, pts, w):
     """The E-step's (n, k) formulas, kept as the reference: log w_k + log
     N_k(x_i), the log density, the responsibilities, the posterior mass and
-    its per-component totals."""
-    z2 = ((pts[:, None, :] - model.means[None, :, :]) ** 2 / model.variances).sum(axis=2)
+    its per-component totals. The d scaled squared differences are added
+    left to right, as `sqdist` adds them."""
+    terms = (pts[:, None, :] - model.means[None, :, :]) ** 2 / model.variances
+    z2 = terms[:, :, 0].copy()
+    for j in range(1, terms.shape[2]):
+        z2 += terms[:, :, j]
     lognorm = 0.5 * np.sum(np.log(2.0 * np.pi * model.variances), axis=1)
     log_resp = np.log(model.weights)[None, :] - 0.5 * z2 - lognorm[None, :]
     m = log_resp.max(axis=1, keepdims=True)
@@ -316,8 +320,7 @@ class TestComponentMajorEStep:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_bit_identical_to_point_major(self, k, d, n, spread, floored, seed):
-        # k < 8 and k >= 8 take different sums in `log_sum_exp`, d < 8 and
-        # d >= 8 different paths in `sqdist`
+        # k < 8 and k >= 8 take different sums in `log_sum_exp`
         model, pts, w = e_step_instance(k, d, n, spread, floored, seed)
         log_resp, norm, resp, wr, nk = point_major_e_step(model, pts, w)
         buf = np.empty((k, n))
@@ -477,20 +480,28 @@ class TestAdversarialGenerator:
 
 class TestLloyd:
     @staticmethod
-    def average_loop(points, weights, centers, iters):
-        # the per-center np.average step, kept as the reference
+    def index_order_mean(points, axis, weights):
+        # the rows added in index order, over their count; `weights` are all one
+        return np.cumsum(points, axis=axis)[-1] / len(points)
+
+    @staticmethod
+    def mean_loop(points, weights, centers, iters, mean=np.average):
+        # the per-center step, kept as the reference: `mean(points[sel],
+        # axis=0, weights=weights[sel])` for each center that owns weight
         for _ in range(iters):
             d2 = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
             owner = np.argmin(d2, axis=1)
             for j in range(len(centers)):
                 sel = owner == j
                 if weights[sel].sum() > 0:
-                    centers[j] = np.average(points[sel], axis=0, weights=weights[sel])
+                    centers[j] = mean(points[sel], axis=0, weights=weights[sel])
         return centers
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     @pytest.mark.parametrize("weighting", ["ones", "dirichlet"])
     def test_bit_identical_to_average_loop(self, d, weighting):
+        # all-one weights take index-order means, which equal np.average's
+        # from d = 2 on; other weights take np.average's
         rng = np.random.default_rng(10 * d + len(weighting))
         for _ in range(8):
             n = int(rng.integers(20, 600))
@@ -500,8 +511,14 @@ class TestLloyd:
             start = points[rng.choice(n, size=12, replace=False)]
             start[-1] = 1e6  # a center that owns no point stays put
             got = lloyd_iterations(points, weights, start.copy(), iters=6)
-            want = self.average_loop(points, weights, start.copy(), iters=6)
-            assert np.array_equal(got, want)
+            if weighting == "ones":
+                want = self.mean_loop(
+                    points, weights, start.copy(), iters=6, mean=self.index_order_mean
+                )
+                assert np.array_equal(got, want)
+            if weighting == "dirichlet" or d >= 2:
+                want = self.mean_loop(points, weights, start.copy(), iters=6)
+                assert np.array_equal(got, want)
             assert np.all(got[-1] == 1e6)
 
 

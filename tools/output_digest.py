@@ -15,8 +15,9 @@ workload calls, under keys that start with `extra/`: `repro fig1`, `fig6`,
 `appendix-b` and `spiral` at their pinned seeds, a `boost` of each
 TREE/configs/*.json, an exact-mode `boost` of a 400-point spiral against
 the greedy adversary, and GMM `boost`s with k = 3 and k = 9 of a seeded 9-D
-CSV that this script writes. The last reach the paths no workload takes:
-`sqdist` at d >= 8 and the E-step's sums over k < 8 and k >= 8 components.
+CSV that this script writes. The last reach what no workload takes:
+`sqdist` with more columns than numpy sums left to right (d >= 8), and the
+E-step's sums over k < 8 and k >= 8 components.
 Run it on two trees in the same environment and compare the outputs with
 `diff`.
 

@@ -72,6 +72,8 @@ class BoostConfig:
             raise ConfigurationError("eta must lie in (0, 1)")
         if self.seed < 0:
             raise ConfigurationError("seed must be >= 0")
+        if self.disc_sample_size is not None and self.disc_sample_size < 1:
+            raise ConfigurationError("disc_sample_size must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -217,19 +219,13 @@ def _run(target: DiscreteDistribution, label, lw: np.ndarray, cfg: BoostConfig, 
 def run_exact(target: DiscreteDistribution, cfg: BoostConfig):
     """Boosting with exact densities: the weak generator's point masses are
     compared directly against the target's, and weights double on strict
-    shortfall below delta times the target mass.
+    shortfall below delta times the target mass. An adversarial generator
+    without a target of its own is first bound to `target` and `cfg.delta`,
+    which checks an explicit victim's indices against the target's support.
     """
     gen_spec = cfg.generator
-    if isinstance(gen_spec, AdversarialCoverageGenerator):
-        victim = gen_spec.victim
-        if not (isinstance(victim, str) or callable(victim)):
-            top = max(victim, default=-1)
-            if top >= target.size:
-                raise ConfigurationError(
-                    f"victim index {top:g} is outside the {target.size} support points"
-                )
-        if gen_spec.target is None:
-            gen_spec = replace(gen_spec, target=target, delta=cfg.delta)
+    if isinstance(gen_spec, AdversarialCoverageGenerator) and gen_spec.target is None:
+        gen_spec = replace(gen_spec, target=target, delta=cfg.delta)
 
     def step(t, lw, p_t):
         try:

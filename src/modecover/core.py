@@ -430,6 +430,10 @@ class GridSpec:
             raise ConfigurationError("grid needs lo < hi per axis")
         if self.cells < 2:
             raise ConfigurationError("at least 2 cells per axis")
+        if int(self.cells) ** self.dim > np.iinfo(np.intp).max:
+            raise ConfigurationError(
+                f"{self.cells}^{self.dim} cells exceed the array index range"
+            )
 
     @property
     def dim(self) -> int:
@@ -460,8 +464,6 @@ class GridSpec:
         pts = as_points(points)
         if pts.shape[1] != self.dim:
             raise ContractViolation("point dim does not match grid dim")
-        if self.n_cells > np.iinfo(np.intp).max:
-            raise ContractViolation(f"{self.n_cells} cells exceed the array index range")
         width = (self.hi - self.lo) / self.cells
         flat = np.zeros(len(pts), dtype=np.intp)
         scaled = np.empty(len(pts))

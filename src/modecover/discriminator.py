@@ -76,6 +76,8 @@ class DiscriminatorSpec:
             raise ConfigurationError(f"unknown feature map {self.feature_map!r}")
         if not 0.0 < self.clamp <= 0.01:
             raise ConfigurationError("clamp must be in (0, 0.01]")
+        if not (self.n_centers >= 1 and self.max_iter >= 1 and self.l2 >= 0):
+            raise ConfigurationError("need n_centers >= 1, max_iter >= 1 and l2 >= 0")
 
 
 @dataclass(frozen=True)

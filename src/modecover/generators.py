@@ -418,26 +418,26 @@ class FixedFamilyGenerator(WeakGenerator):
 # ---------------------------------------------------------------------------
 
 
-def adversarial_make(base: DiscreteDistribution, gamma: float, region):
-    """Remove up to `gamma` mass from `region` (proportionally) and push it
-    onto the complement (proportionally). Returns (distribution, achieved_tv);
-    achieved_tv < gamma only when the region holds less mass than the budget.
-    """
+def adversarial_make(mass: np.ndarray, gamma: float, region):
+    """Remove up to `gamma` of the probability vector `mass` from the
+    indices `region` and add it to the complement, both in proportion to
+    the masses there. Returns (new mass vector, achieved_tv); achieved_tv <
+    gamma only when the region holds less mass than the budget. A nonempty
+    region must leave some mass outside it."""
     if not 0.0 <= gamma <= 1.0:
         raise ContractViolation("gamma must be in [0, 1]")
-    region = np.asarray(region, dtype=int)
-    mask = np.zeros(base.size, dtype=bool)
-    mask[region] = True
+    mass = np.asarray(mass, dtype=float)
+    mask = np.zeros(len(mass), dtype=bool)
+    mask[np.asarray(region, dtype=int)] = True
     if gamma == 0.0 or not mask.any():
-        return base.with_mass(base.mass.copy()), 0.0
+        return mass.copy(), 0.0
     if mask.all():
         raise ContractViolation("region must leave room to redistribute")
-    inside = float(base.mass[mask].sum())
+    inside = float(mass[mask].sum())
     if inside >= 1.0:
         raise ContractViolation("no mass outside region to scale up")
-    mass, removed = _remove_mass(base.mass, mask, inside, gamma)
-    mass = mass / mass.sum()  # guard rounding drift
-    return base.with_mass(mass), removed
+    out, removed = _remove_mass(mass, mask, inside, gamma)
+    return out / out.sum(), removed  # the division guards rounding drift
 
 
 def _remove_mass(mass: np.ndarray, mask: np.ndarray, inside: float, gamma: float):
@@ -457,34 +457,30 @@ def greedy_uncover_region(
 ) -> np.ndarray:
     """Pick the removal region that most reduces coverage of the target.
 
-    Sweeps prefixes of points sorted by base/target ratio (all points, and
-    covered points only) and keeps the prefix whose post-removal covered
-    base-mass is smallest.
+    Sweeps the prefixes of the points sorted by base/target ratio, all
+    points and then the covered ones (ratio >= delta) only, and keeps the
+    one after whose removal the base mass still covered (g >= delta *
+    target) is smallest, by more than 1e-15. A prefix never holds every
+    point, and an order ends at its first prefix that leaves no mass
+    outside it, which `adversarial_make` refuses.
     """
+    n = len(base_mass)
     ratio = base_mass / np.maximum(target_mass, 1e-300)
     order_all = np.argsort(ratio, kind="stable")
-    covered = ratio >= delta
-    order_cov = order_all[covered[order_all]]
     best_region = order_all[:1]
     best_beta = np.inf
-    for order in (order_all, order_cov):
-        for k in range(1, len(order) + 1):
-            region = order[:k]
-            if len(region) == len(base_mass):
-                break  # must leave a non-empty complement
-            beta = _beta_after_removal(base_mass, target_mass, region, gamma, delta)
+    for order in (order_all, order_all[ratio[order_all] >= delta]):
+        mask = np.zeros(n, dtype=bool)
+        for k, i in enumerate(order[: n - 1], 1):
+            mask[i] = True
+            inside = float(base_mass[mask].sum())
+            if inside >= 1.0:
+                break
+            g, _ = _remove_mass(base_mass, mask, inside, gamma)
+            beta = float(base_mass[g >= delta * target_mass].sum())
             if beta < best_beta - 1e-15:
-                best_beta = beta
-                best_region = region
+                best_beta, best_region = beta, order[:k]
     return np.asarray(best_region, dtype=int)
-
-
-def _beta_after_removal(base_mass, target_mass, region, gamma, delta) -> float:
-    mask = np.zeros(len(base_mass), dtype=bool)
-    mask[region] = True
-    g, _ = _remove_mass(base_mass, mask, float(base_mass[mask].sum()), gamma)
-    covered = g >= delta * target_mass
-    return float(base_mass[covered].sum())
 
 
 def _is_index_list(victim) -> bool:
@@ -499,12 +495,15 @@ def _is_index_list(victim) -> bool:
 @dataclass(frozen=True)
 class AdversarialCoverageGenerator(WeakGenerator):
     """Worst-case-within-budget generator: a copy of its training
-    distribution with exactly `gamma` TV moved off a victim region.
+    distribution with up to `gamma` TV moved off a victim region.
 
-    `victim` is 'greedy' (region chosen to minimize coverage of `target`),
-    an explicit index array naming the region, or a callable mapping the
-    training distribution to indices. Used to realize the per-round TV
-    premise of the coverage theorem at its boundary.
+    `victim` is 'greedy' (`greedy_uncover_region` against `target`, or the
+    training distribution when unset, at `delta`), an explicit index array
+    naming the region, or a callable mapping the training distribution to
+    indices. `run_exact` binds `target` and `delta` to its run's points and
+    threshold; an explicit victim index must then lie within the target's
+    support. Used to realize the per-round TV premise of the coverage
+    theorem at its boundary.
     """
 
     gamma: float = 0.1
@@ -520,23 +519,25 @@ class AdversarialCoverageGenerator(WeakGenerator):
         if isinstance(self.victim, str):
             if self.victim != "greedy":
                 raise ConfigurationError(f"unknown victim rule {self.victim!r}")
-        elif not callable(self.victim) and not _is_index_list(self.victim):
-            raise ConfigurationError(
-                f"victim {self.victim!r} is not a list of nonnegative integer indices"
-            )
+        elif not callable(self.victim):
+            if not _is_index_list(self.victim):
+                raise ConfigurationError(
+                    f"victim {self.victim!r} is not a list of nonnegative integer indices"
+                )
+            top = max(self.victim, default=-1)
+            if self.target is not None and top >= self.target.size:
+                raise ConfigurationError(
+                    f"victim index {top:g} is outside the {self.target.size} support points"
+                )
 
     def fit(self, train: DiscreteDistribution, seed=None) -> "AdversarialCoverageGenerator":
         target = self.target if self.target is not None else train
         if isinstance(self.victim, str):
-            region = greedy_uncover_region(
-                train.mass, target.mass, self.gamma, self.delta
-            )
-        elif callable(self.victim):
-            region = np.asarray(self.victim(train), dtype=int)
+            region = greedy_uncover_region(train.mass, target.mass, self.gamma, self.delta)
         else:
-            region = np.asarray(self.victim, dtype=int)
-        dist, achieved = adversarial_make(train, self.gamma, region)
-        return replace(self, fitted_dist=dist, achieved_tv=achieved)
+            region = self.victim(train) if callable(self.victim) else self.victim
+        mass, achieved = adversarial_make(train.mass, self.gamma, region)
+        return replace(self, fitted_dist=train.with_mass(mass), achieved_tv=achieved)
 
     def pdf(self, x) -> np.ndarray:
         """Point masses of the perturbed distribution (counting measure)."""
@@ -599,19 +600,16 @@ _CONFIG_KEYS = {
     "fixed_family": (FixedFamilyGenerator, {"candidates": _family}),
     "adversarial": (
         AdversarialCoverageGenerator,
-        {"gamma": _real, "victim": lambda victim: victim, "delta": _real},
+        {"gamma": _real, "victim": lambda victim: victim},
     ),
 }
 
 
 def _check_cell_count(grid: GridSpec) -> None:
-    """Refuse a grid whose per-round array of cell masses cannot be made: more
-    cells than an array index reaches, or, where `os.sysconf` reports it
-    (POSIX), more float bytes than the machine's physical memory. The memory
-    bound is a heuristic: it does not see a container's memory limit."""
+    """Refuse a grid whose per-round array of cell masses needs more float
+    bytes than the machine's physical memory, where `os.sysconf` reports it
+    (POSIX). The bound is a heuristic: it does not see a container's limit."""
     n_cells = int(grid.cells) ** grid.dim
-    if n_cells > np.iinfo(np.intp).max:
-        raise ValueError(f"{grid.cells}^{grid.dim} = {n_cells} cells exceed the array index range")
     if hasattr(os, "sysconf"):
         memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
         if 8 * n_cells > memory:

@@ -82,24 +82,17 @@ def _run_trials(name, trials, seed, params, trial, tol=SLACK) -> OracleReport:
     return OracleReport(name, trials, violations, worst, seed, params, first)
 
 
-def _index_support(n: int) -> np.ndarray:
-    return np.arange(n, dtype=float)[:, None]
-
-
 def _most_adversarial_beta(p, q, delta, gamma, rng):
     """Exact covered q-mass for the worst of a greedy and a random victim."""
-    support = _index_support(len(p))
-    base = DiscreteDistribution(support, q)
     regions = [greedy_uncover_region(q, p, gamma, delta)]
     size = int(rng.integers(1, len(p)))
     regions.append(rng.choice(len(p), size=size, replace=False))
     best = None
     for region in regions:
-        g_dist, _ = adversarial_make(base, gamma, region)
-        covered = g_dist.mass >= delta * p
-        beta = float(q[covered].sum())
+        g_mass, _ = adversarial_make(q, gamma, region)
+        beta = float(q[g_mass >= delta * p].sum())
         if best is None or beta < best[0]:
-            best = (beta, g_dist.mass, np.asarray(region, dtype=int))
+            best = (beta, g_mass, np.asarray(region, dtype=int))
     return best
 
 
@@ -145,7 +138,9 @@ def check_single_round_cover(
 
 def check_quarter_cover(trials: int, seed=0) -> OracleReport:
     """Quarter-threshold specialization: delta = 1/4, gamma = 0.1, and the
-    covered-draw probability must reach 0.4."""
+    covered-draw probability must reach 0.4. These are
+    `check_single_round_cover`'s defaults, so this replays its default
+    instances at the same seed and reports the same margins."""
     report = check_single_round_cover(
         trials, support_size=10, delta=0.25, gamma=0.1, seed=seed
     )
@@ -216,9 +211,9 @@ def check_mixture_cover_exhaustive(
 
     def trial(rng):
         p = rng.dirichlet(np.ones(support_size))
-        target = DiscreteDistribution(_index_support(support_size), p)
+        target = DiscreteDistribution(np.arange(support_size, dtype=float)[:, None], p)
         cfg = BoostConfig(
-            generator=AdversarialCoverageGenerator(gamma=gamma, delta=delta),
+            generator=AdversarialCoverageGenerator(gamma=gamma),
             rounds=rounds,
             delta=delta,
             eta=eta,

@@ -93,6 +93,8 @@ def make_gauss_grid(m_modes: int = 10, region=15.0, var: float = 0.05, n: int = 
     """
     if m_modes < 1:
         raise ConfigurationError("need at least one mode")
+    if not var > 0:
+        raise ConfigurationError(f"var must be positive, got {var!r}")
     rng = np.random.default_rng(seed)
     centers = rng.uniform(-region, region, size=(m_modes, 2))
     points, mode_ids = _mode_samples(centers, var, n, rng)

@@ -9,7 +9,9 @@ from modecover import (
     AnalyticDensity,
     BoostConfig,
     BoostRunError,
+    ConfigurationError,
     DiscreteDistribution,
+    DiscriminatorSpec,
     FixedFamilyGenerator,
     GeneratorMixture,
     GmmGenerator,
@@ -44,6 +46,24 @@ def reconstruct_round_masses(trace, t):
         lw = lw + rec.doubled
     u = np.exp2(lw - lw.max())
     return u / u.sum()
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: BoostConfig(generator=GmmGenerator(), disc_sample_size=0),
+        lambda: DiscriminatorSpec(n_centers=0),
+        lambda: DiscriminatorSpec(max_iter=0),
+        lambda: DiscriminatorSpec(max_iter=-1),
+        lambda: DiscriminatorSpec(l2=-1.0),
+    ],
+    ids=["disc_sample_size_zero", "n_centers_zero", "max_iter_zero", "max_iter_negative",
+         "l2_negative"],
+)
+def test_constructors_reject_what_the_schema_rejects(build):
+    # run_config.schema.json refuses each of these values before a run starts
+    with pytest.raises(ConfigurationError):
+        build()
 
 
 class TestRunExact:

@@ -199,6 +199,7 @@ def test_eval_without_mode_centers_exits_one(tmp_path, capsys, kind):
         ({"kind": "sine", "params": {"n_major": 500, "minor_center": [1, 2, 3]}}, None),
         ({"kind": "sine", "params": {"n_major": 500, "minor_center": "ab"}}, None),
         ({"kind": "gauss_grid", "params": {"n": 50, "region": -1}}, None),
+        ({"kind": "gauss_grid", "params": {"m_modes": 6, "n": 600, "var": 0}}, None),
     ],
     ids=[
         "bad_coordinate",
@@ -211,6 +212,7 @@ def test_eval_without_mode_centers_exits_one(tmp_path, capsys, kind):
         "minor_center_wrong_length",
         "minor_center_string",
         "negative_region",
+        "zero_var_gauss_grid",
     ],
 )
 def test_malformed_dataset_exits_one(tmp_path, capsys, dataset, csv_text):
@@ -266,6 +268,7 @@ SMALL_SPIRAL = {"kind": "spiral", "seed": 3, "params": {"n": 200}}
             "kind": "fixed_family",
             "candidates": [{"weights": [1.0], "means": [[0.0]], "variances": [[1.0]]}],
         },
+        {"kind": "adversarial", "gamma": 0.1, "delta": 7.5},
     ],
     ids=[
         "negative_bandwidth",
@@ -287,6 +290,7 @@ SMALL_SPIRAL = {"kind": "spiral", "seed": 3, "params": {"n": 200}}
         "victim_fractional",
         "grid_wrong_dim",
         "family_wrong_dim",
+        "adversarial_delta",
     ],
 )
 def test_malformed_generator_exits_one(tmp_path, capsys, generator):

@@ -1,14 +1,16 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from modecover import (
     AdversarialCoverageGenerator,
     AnalyticDensity,
     ConfigurationError,
+    ContractViolation,
     DiscreteDistribution,
     FitError,
     FixedFamilyGenerator,
@@ -25,7 +27,13 @@ from modecover import (
 )
 from modecover.boost import round_rng_seed
 from modecover.core import group_points, init_weights_empirical, log_sum_exp, normalize, sqdist
-from modecover.generators import _posterior_mass, kmeans_pp_centers, lloyd_iterations
+from modecover.generators import (
+    _posterior_mass,
+    _remove_mass,
+    greedy_uncover_region,
+    kmeans_pp_centers,
+    lloyd_iterations,
+)
 from modecover.synthdata import make_sine_dataset, make_spiral
 
 
@@ -416,31 +424,29 @@ class TestFixedFamily:
 
 class TestAdversarialMake:
     def test_zero_budget_identity(self):
-        base = DiscreteDistribution([[0.0], [1.0]], [0.5, 0.5])
-        out, tv = adversarial_make(base, 0.0, [1])
+        mass = np.array([0.5, 0.5])
+        out, tv = adversarial_make(mass, 0.0, [1])
         assert tv == 0.0
-        assert np.array_equal(out.mass, base.mass)
+        assert np.array_equal(out, mass)
 
     def test_hand_construction(self):
         base = DiscreteDistribution([[0.0], [1.0]], [0.5, 0.5])
-        out, tv = adversarial_make(base, 0.25, [1])
+        out, tv = adversarial_make(base.mass, 0.25, [1])
         assert tv == pytest.approx(0.25, abs=0)
-        assert out.mass[0] == pytest.approx(0.75, rel=1e-12)
-        assert out.mass[1] == pytest.approx(0.25, rel=1e-12)
-        assert tv_discrete(out, base) == pytest.approx(0.25, abs=1e-12)
+        assert out[0] == pytest.approx(0.75, rel=1e-12)
+        assert out[1] == pytest.approx(0.25, rel=1e-12)
+        assert tv_discrete(base.with_mass(out), base) == pytest.approx(0.25, abs=1e-12)
 
     def test_full_region_wipe(self):
-        base = DiscreteDistribution([[0.0], [1.0]], [5 / 7, 2 / 7])
-        out, tv = adversarial_make(base, 2 / 7, [1])
-        assert out.mass[0] == pytest.approx(1.0, abs=1e-12)
-        assert out.mass[1] == 0.0
+        out, tv = adversarial_make(np.array([5 / 7, 2 / 7]), 2 / 7, [1])
+        assert out[0] == pytest.approx(1.0, abs=1e-12)
+        assert out[1] == 0.0
         assert tv == pytest.approx(2 / 7, abs=0)
 
     def test_budget_reduced_to_region_mass(self):
-        base = DiscreteDistribution([[0.0], [1.0], [2.0]], [0.8, 0.15, 0.05])
-        out, tv = adversarial_make(base, 0.3, [2])
+        out, tv = adversarial_make(np.array([0.8, 0.15, 0.05]), 0.3, [2])
         assert tv == pytest.approx(0.05, abs=0)
-        assert out.mass[2] == 0.0
+        assert out[2] == 0.0
 
     def test_tv_budget_invariant(self):
         rng = np.random.default_rng(6)
@@ -449,9 +455,85 @@ class TestAdversarialMake:
             base = DiscreteDistribution(support, rng.dirichlet(np.ones(12)))
             gamma = float(rng.random()) * 0.9
             region = rng.choice(12, size=int(rng.integers(1, 11)), replace=False)
-            out, tv = adversarial_make(base, gamma, region)
+            out, tv = adversarial_make(base.mass, gamma, region)
             assert tv <= gamma + 1e-15
-            assert tv_discrete(out, base) == pytest.approx(tv, abs=1e-9)
+            assert tv_discrete(base.with_mass(out), base) == pytest.approx(tv, abs=1e-9)
+
+
+def _reference_beta_after_removal(base_mass, target_mass, region, gamma, delta) -> float:
+    mask = np.zeros(len(base_mass), dtype=bool)
+    mask[region] = True
+    g, _ = _remove_mass(base_mass, mask, float(base_mass[mask].sum()), gamma)
+    covered = g >= delta * target_mass
+    return float(base_mass[covered].sum())
+
+
+def reference_uncover_region(base_mass, target_mass, gamma, delta) -> np.ndarray:
+    """The former nested greedy sweep, kept as the reference: every prefix
+    of both ratio orders short of the whole support, each scored on a mask
+    of its own.
+    It has no stop rule: it divides by zero at a prefix holding all the
+    mass, and may pick one whose mass rounds above 1."""
+    ratio = base_mass / np.maximum(target_mass, 1e-300)
+    order_all = np.argsort(ratio, kind="stable")
+    covered = ratio >= delta
+    order_cov = order_all[covered[order_all]]
+    best_region = order_all[:1]
+    best_beta = np.inf
+    for order in (order_all, order_cov):
+        for k in range(1, len(order) + 1):
+            region = order[:k]
+            if len(region) == len(base_mass):
+                break  # must leave a non-empty complement
+            beta = _reference_beta_after_removal(base_mass, target_mass, region, gamma, delta)
+            if beta < best_beta - 1e-15:
+                best_beta = beta
+                best_region = region
+    return np.asarray(best_region, dtype=int)
+
+
+MASS_ENTRY = st.one_of(st.just(0.0), st.floats(1e-6, 1.0))
+
+
+class TestGreedyUncoverRegion:
+    @settings(max_examples=400, deadline=None)
+    @given(
+        st.integers(1, 13).flatmap(
+            lambda n: st.tuples(
+                st.lists(MASS_ENTRY, min_size=n, max_size=n),
+                st.lists(MASS_ENTRY, min_size=n, max_size=n),
+            )
+        ),
+        st.floats(0.0, 1.0),
+        st.floats(0.01, 0.99),
+    )
+    def test_same_region_as_reference(self, masses, gamma, delta):
+        base, target = (np.array(m) for m in masses)
+        assume(base.sum() > 0 and target.sum() > 0)
+        base, target = base / base.sum(), target / target.sum()
+        got = greedy_uncover_region(base, target, gamma, delta)
+        try:  # the reference's fit: its region, then the attack on it
+            want = reference_uncover_region(base, target, gamma, delta)
+            adversarial_make(base, gamma, want)
+        except (ZeroDivisionError, ContractViolation):
+            # the reference scored, or picked, a prefix that leaves no mass
+            # outside it; the sweep skips those, so its region can be attacked
+            if len(base) > 1:
+                adversarial_make(base, gamma, got)
+            return
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_same_region_on_dirichlet_instances(self, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(250):
+            n = int(rng.integers(1, 14))
+            base, target = rng.dirichlet(np.ones(n)), rng.dirichlet(np.ones(n))
+            gamma, delta = float(rng.random()), float(rng.uniform(0.01, 0.99))
+            assert np.array_equal(
+                greedy_uncover_region(base, target, gamma, delta),
+                reference_uncover_region(base, target, gamma, delta),
+            )
 
 
 class TestAdversarialGenerator:
@@ -476,6 +558,24 @@ class TestAdversarialGenerator:
         gen = AdversarialCoverageGenerator(gamma=0.5, victim=[1]).fit(base)
         samples = gen.sample(100, seed=0)
         assert np.all(samples == 0.0)
+
+    def test_greedy_fit_with_zero_mass_point(self):
+        # the covered order's prefix {0, 1} holds all the mass, so the sweep
+        # stops before it; no shorter prefix uncovers a point at this budget,
+        # so the first, the zero-mass point, stays the region
+        base = DiscreteDistribution([[0.0], [1.0], [2.0]], [0.5, 0.5, 0.0])
+        gen = AdversarialCoverageGenerator(gamma=0.1).fit(base)
+        assert gen.achieved_tv == 0.0
+        assert np.array_equal(gen.fitted_dist.mass, base.mass)
+
+    def test_binding_a_target_checks_victim_indices(self):
+        target = DiscreteDistribution([[0.0], [1.0]], [0.5, 0.5])
+        gen = AdversarialCoverageGenerator(victim=[0, 2])
+        with pytest.raises(
+            ConfigurationError, match="victim index 2 is outside the 2 support points"
+        ):
+            replace(gen, target=target)
+        assert replace(gen, victim=[1], target=target).target is target
 
 
 class TestLloyd:

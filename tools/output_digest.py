@@ -13,11 +13,12 @@ of the call's stdout, its exit code, and a sha256 of each file it wrote
 except meta.json, which holds a timestamp. It also digests the writers no
 workload calls, under keys that start with `extra/`: `repro fig1`, `fig6`,
 `appendix-b` and `spiral` at their pinned seeds, a `boost` of each
-TREE/configs/*.json, an exact-mode `boost` of a 400-point spiral against
-the greedy adversary, and GMM `boost`s with k = 3 and k = 9 of a seeded 9-D
-CSV that this script writes. The last reach what no workload takes:
-`sqdist` with more columns than numpy sums left to right (d >= 8), and the
-E-step's sums over k < 8 and k >= 8 components.
+TREE/configs/*.json, two exact-mode `boost`s of a 400-point spiral, one
+against the greedy adversary and one with a GMM (k = 6), which takes
+`run_exact`'s path for any other generator, and GMM `boost`s with k = 3 and
+k = 9 of a seeded 9-D CSV that this script writes. The last reach what no
+workload takes: `sqdist` with more columns than numpy sums left to right
+(d >= 8), and the E-step's sums over k < 8 and k >= 8 components.
 Run it on two trees in the same environment and compare the outputs with
 `diff`.
 
@@ -55,6 +56,8 @@ EXACT_CONFIG = {
     "generator": {"kind": "adversarial", "gamma": 0.05},
     "eval": {"n_samples": 2000, "frac": 0.01},
 }
+# the same run with a generator that is not the adversary
+EXACT_GMM_CONFIG = {**EXACT_CONFIG, "generator": {"kind": "gmm", "k": 6}}
 
 
 def _gmm_9d_configs(tmp: Path) -> list[Path]:
@@ -84,7 +87,11 @@ def _extra_calls(tree: Path, tmp: Path) -> dict[str, list[str]]:
     """The calls no workload makes, keyed by their digest labels."""
     exact = tmp / "exact.json"
     exact.write_text(json.dumps(EXACT_CONFIG))
-    configs = [*sorted((tree / "configs").glob("*.json")), exact, *_gmm_9d_configs(tmp)]
+    exact_gmm = tmp / "exact-gmm.json"
+    exact_gmm.write_text(json.dumps(EXACT_GMM_CONFIG))
+    configs = [
+        *sorted((tree / "configs").glob("*.json")), exact, exact_gmm, *_gmm_9d_configs(tmp)
+    ]
     calls = {f"repro {name}": ["repro", name] for name in ("fig1", "fig6", "appendix-b", "spiral")}
     calls.update({f"boost {path.name}": ["boost", "--config", str(path)] for path in configs})
     return calls
